@@ -69,6 +69,13 @@ def _pr4_fig5_mean() -> float | None:
     return None
 
 
+def _measured_mean(benchmark) -> float:
+    """Mean seconds of the benchmarked call; skips when timing is disabled."""
+    if benchmark.stats is None:
+        pytest.skip("no timing under --benchmark-disable; speed floor not checked")
+    return benchmark.stats.stats.mean
+
+
 def test_fig5_accuracy_vs_resolution(benchmark):
     benchmark.extra_info["precision"] = "float32"
     benchmark.extra_info["backend"] = "numpy"
@@ -99,7 +106,7 @@ def test_fig5_accuracy_vs_resolution(benchmark):
     # faster than the committed PR4 float64 baseline of this same benchmark.
     baseline_mean = _pr4_fig5_mean()
     if baseline_mean is not None:
-        measured = benchmark.stats.stats.mean
+        measured = _measured_mean(benchmark)
         speedup = baseline_mean / measured
         print(f"fig5 sweep speedup vs PR4 baseline: {speedup:.2f}x "
               f"(floor {FLOAT32_SPEEDUP_FLOOR}x)")
@@ -137,7 +144,7 @@ def test_fig5_accelerated_floor(benchmark):
         rounds=1,
         iterations=1,
     )
-    numba_s = benchmark.stats.stats.mean
+    numba_s = _measured_mean(benchmark)
     assert numba_s <= numpy_s * 1.05, (
         f"accelerated backend slower than numpy: {numba_s:.3f}s vs {numpy_s:.3f}s"
     )

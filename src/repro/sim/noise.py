@@ -33,18 +33,29 @@ stateless between calls (randomness comes from the generator passed to
 dataclasses), which lets Monte-Carlo sweeps fan them out across a process
 pool via :func:`repro.sim.sweep.run_sweep`.
 
-They are also **ensemble-vectorized**: every built-in channel (and any
-stack of them) evaluates E independent noise realisations of one weight
-tensor in a single fused pass -- ``apply_many(weights, rngs)`` returns an
-``(E, *weights.shape)`` stack whose member ``e`` is elementwise identical to
-``apply(weights, rngs[e])``, and ``apply_stacked`` maps an already-stacked
-ensemble through the channel (the composition primitive
-:class:`NoiseStack` and the ensemble inference engine build on).  Random
-draws loop over members so each generator sees its sequential stream; the
-heavy device physics (Lorentzians, phi-matrix mixing, quantization grids)
-runs once over the whole stack.  Third-party channels that only implement
-``apply`` compose transparently through a per-member fallback loop in
-:func:`ensemble_apply`.
+One primitive per channel
+-------------------------
+Every built-in channel implements its physics exactly once, in
+``apply_stacked(stacked, rngs)``.  The leading axis of ``stacked`` is
+either ``len(rngs)`` -- one weight tensor per ensemble member, member ``e``
+perturbed with ``rngs[e]`` -- or 1, one tensor shared by every member.
+Deterministic channels (quantization, both crosstalk mixers) keep the
+leading axis they are given, so a shared tensor is evaluated once for the
+whole ensemble.  Stochastic channels (residual and FPV drift) compute the
+member-independent physics -- normalised magnitudes, Lorentzian profiles --
+once per row, draw from each member's generator in turn, and return
+``len(rngs)`` rows.  :class:`NoiseStack` threads a stack through its
+channels the same way, so its deterministic prefix runs once per tensor and
+the ensemble forks at the first stochastic channel.
+
+``apply(weights, rng)`` and ``apply_many(weights, rngs)`` are derived from
+that primitive by :class:`_EnsembleChannelMixin`: a one-member stack, and
+a shared row expanded to ``(E, *weights.shape)``.  Both return fresh,
+writable arrays, and member ``e`` of ``apply_many`` is elementwise identical
+to ``apply(weights, rngs[e])``.  A third-party channel only needs ``apply``:
+:func:`ensemble_apply` broadcasts a shared row to every member and loops
+``apply`` over them, so it composes inside a :class:`NoiseStack` and the
+ensemble inference engine unchanged.
 
 Conventions
 -----------
@@ -68,7 +79,7 @@ import numpy as np
 from repro.crosstalk.interchannel import bank_crosstalk_matrix
 from repro.devices.constants import OPTIMIZED_MR, MRDesignParameters
 from repro.devices.mr import MicroringResonator
-from repro.nn.quantization import quantize_array, quantize_array_stack
+from repro.nn.quantization import quantize_array_stack
 from repro.utils.validation import check_non_negative, check_positive, check_positive_int
 from repro.variations.fpv import (
     ProcessVariationModel,
@@ -116,55 +127,48 @@ def ensemble_apply(
 ) -> np.ndarray:
     """Apply ``channel`` to every member of a stacked ensemble.
 
-    ``stacked`` has shape ``(E, *shape)`` with ``E == len(rngs)``: member
-    ``e``'s weight tensor is ``stacked[e]`` and is perturbed with ``rngs[e]``.
-    Channels providing a vectorized ``apply_stacked`` (all built-ins) process
-    the whole stack in fused array operations; any other object satisfying
-    the :class:`NoiseChannel` protocol falls back to a per-member loop of
+    ``stacked`` has shape ``(E, *shape)`` with ``E == len(rngs)`` (member
+    ``e``'s tensor is ``stacked[e]``, perturbed with ``rngs[e]``) or
+    ``(1, *shape)`` (one tensor shared by every member).  Channels with an
+    ``apply_stacked`` (all built-ins) receive the stack as is; any other
+    object satisfying the :class:`NoiseChannel` protocol sees the shared row
+    broadcast to every member and a per-member loop of
     :meth:`~NoiseChannel.apply`, so third-party channels compose with the
     ensemble inference path unchanged.
 
-    Either way the output is elementwise identical to the per-member loop:
-    member ``e`` sees exactly the weights, arithmetic, and random draws it
-    would see under ``channel.apply(stacked[e], rngs[e])``.
+    Either way member ``e`` sees exactly the weights, arithmetic, and random
+    draws it would see under ``channel.apply(weights_e, rngs[e])``.
     """
     vectorized = getattr(channel, "apply_stacked", None)
     if vectorized is not None:
         return vectorized(stacked, rngs)
+    stacked = np.broadcast_to(stacked, (len(rngs), *np.shape(stacked)[1:]))
     return np.stack(
         [np.asarray(channel.apply(stacked[e], rngs[e]), dtype=float) for e in range(len(rngs))]
     )
 
 
 class _EnsembleChannelMixin:
-    """Vectorized many-seed evaluation shared by the built-in channels.
+    """``apply`` and ``apply_many`` derived from a channel's ``apply_stacked``.
 
-    Sub-classes implement ``apply_stacked(stacked, rngs)`` mapping an
-    ``(E, *shape)`` stack of per-member weight tensors to the perturbed
-    ``(E, *shape)`` stack; this mixin derives the user-facing
-    :meth:`apply_many`, which perturbs one shared base tensor under ``E``
-    independent generators (the Monte-Carlo "many wafer draws of one trained
-    model" shape).
-
-    Channels may additionally override :meth:`apply_fanout`, which receives
-    the still-shared base tensor and may return either a *base-shaped* array
-    (the channel is deterministic and its output remains common to every
-    member -- quantization and the crosstalk mixers do this, so one
-    evaluation serves all E members) or an ``(E, *shape)`` stack (the
-    channel consumes randomness and forks the ensemble; the drift channels
-    do this while still computing their member-independent device physics --
-    normalised magnitudes, Lorentzian error profiles -- exactly once).  A
-    channel must only return a base-shaped array if ``apply`` ignores the
-    generator entirely; the default forks immediately, which is always
-    correct.
+    Sub-classes implement only ``apply_stacked(stacked, rngs)``: it maps an
+    ``(R, *shape)`` stack with ``R == len(rngs)`` (per-member tensors) or
+    ``R == 1`` (one tensor shared by every member) to the perturbed stack.
+    A deterministic channel may keep ``R == 1``; a channel that draws from
+    the generators returns ``len(rngs)`` rows, drawing nothing for an
+    all-zero tensor.  ``apply_stacked`` may hand its input back by
+    reference; the two entry points derived here always return fresh arrays,
+    so callers (e.g. the inference engine perturbing live model weights) may
+    mutate the result.
     """
 
-    def apply_fanout(
-        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Apply to a shared base tensor; may stay shared (see class docs)."""
-        stacked = np.broadcast_to(base, (len(rngs), *base.shape))
-        return self.apply_stacked(stacked, rngs)
+    def apply(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Perturb ``weights`` with ``rng``; returns a fresh array."""
+        weights = np.asarray(weights, dtype=float)
+        out = self.apply_stacked(weights[None], [rng])[0]
+        if np.may_share_memory(out, weights):
+            out = out.copy()
+        return out
 
     def apply_many(
         self, weights: np.ndarray, rngs: Sequence[np.random.Generator]
@@ -172,98 +176,93 @@ class _EnsembleChannelMixin:
         """Perturb ``weights`` once per generator; returns ``(E, *shape)``.
 
         Member ``e`` of the result is elementwise identical to
-        ``self.apply(weights, rngs[e])``.
+        ``self.apply(weights, rngs[e])``.  ``weights`` enters as one shared
+        row, so deterministic work runs once for all ``E`` members.
         """
         rngs = list(rngs)
         if not rngs:
             raise ValueError("apply_many requires at least one generator")
         base = np.asarray(weights, dtype=float)
-        out = np.asarray(self.apply_fanout(base, rngs), dtype=float)
-        if out.ndim == base.ndim:
-            # Fully deterministic: every member shares one evaluation.
-            stacked = np.empty((len(rngs), *base.shape), dtype=float)
-            stacked[...] = out
-            return stacked
-        if np.may_share_memory(out, base):
-            out = np.array(out, dtype=float)
-        return out
+        out = self.apply_stacked(base[None], rngs)
+        if out.shape[0] == len(rngs) and not np.may_share_memory(out, base):
+            return out
+        return np.array(np.broadcast_to(out, (len(rngs), *base.shape)))
 
 
 # ---------------------------------------------------------------------- #
 # Shared helpers
 # ---------------------------------------------------------------------- #
-def _tensor_magnitudes(weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """The tensor's dynamic range and normalised magnitudes (flat)."""
-    max_abs = float(np.max(np.abs(weights))) if weights.size else 0.0
-    if max_abs == 0.0:
-        return np.zeros(weights.size), 0.0
-    return np.abs(weights).ravel() / max_abs, max_abs
-
-
-def _to_banks(flat: np.ndarray, bank_size: int) -> np.ndarray:
-    """Pad a flat magnitude vector and fold it into ``(n_banks, bank_size)``.
-
-    Padding rings carry zero weight (parked, no optical power), so they do
-    not contribute crosstalk and are discarded by :func:`_from_banks`.
-    """
-    n_banks = -(-flat.size // bank_size)
-    padded = np.zeros(n_banks * bank_size)
-    padded[: flat.size] = flat
-    return padded.reshape(n_banks, bank_size)
-
-
-def _from_banks(banked: np.ndarray, n: int) -> np.ndarray:
-    """Unfold a banked array back into the first ``n`` flat elements."""
-    return banked.reshape(-1)[:n]
-
-
-def _recompose(weights: np.ndarray, magnitudes: np.ndarray, max_abs: float) -> np.ndarray:
-    """Rebuild a signed weight tensor from perturbed magnitudes.
-
-    Zero weights keep their parked rings dark (sign 0), so leakage into
-    unused channels is intentionally not re-imprinted as weight.
-    """
-    return (np.sign(weights).ravel() * magnitudes * max_abs).reshape(weights.shape)
-
-
-# -- stacked (ensemble-axis) variants of the helpers above -------------- #
 def _stacked_magnitudes(stacked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-member dynamic ranges and normalised magnitudes of an ensemble.
+    """Per-row dynamic ranges and normalised magnitudes of a stack.
 
-    ``stacked`` is ``(E, *shape)``; returns ``(magnitudes, max_abs, zero)``
-    where ``magnitudes`` is ``(E, n)`` (flattened per member), ``max_abs`` is
-    the per-member dynamic range, and ``zero`` marks members whose tensor is
-    all zero (their magnitudes are passed through undivided, mirroring the
-    scalar helper's early return, and callers must restore them verbatim).
+    ``stacked`` is ``(R, *shape)``; returns ``(magnitudes, max_abs, zero)``
+    where ``magnitudes`` is ``(R, n)`` (flattened per row), ``max_abs`` is
+    the per-row dynamic range, and ``zero`` marks rows whose tensor is all
+    zero (their magnitudes are passed through undivided, and callers must
+    restore them verbatim).
     """
-    n_members = stacked.shape[0]
-    flat = np.abs(stacked.reshape(n_members, -1))
+    n_rows = stacked.shape[0]
+    flat = np.abs(stacked.reshape(n_rows, -1))
     max_abs = np.max(flat, axis=1)
     zero = max_abs == 0.0
-    safe = np.where(zero, 1.0, max_abs)
-    return flat / safe[:, None], max_abs, zero
+    flat /= np.where(zero, 1.0, max_abs)[:, None]
+    return flat, max_abs, zero
 
 
 def _to_banks_stacked(flat: np.ndarray, bank_size: int) -> np.ndarray:
-    """Per-member :func:`_to_banks`: ``(E, n)`` -> ``(E, n_banks, bank_size)``."""
-    n_members, n = flat.shape
+    """Pad ``(R, n)`` magnitudes and fold them into ``(R, n_banks, bank_size)``.
+
+    Padding rings carry zero weight (parked, no optical power), so they do
+    not contribute crosstalk and are discarded when unfolding.
+    """
+    n_rows, n = flat.shape
     n_banks = -(-n // bank_size)
-    padded = np.zeros((n_members, n_banks * bank_size))
+    padded = np.zeros((n_rows, n_banks * bank_size))
     padded[:, :n] = flat
-    return padded.reshape(n_members, n_banks, bank_size)
+    return padded.reshape(n_rows, n_banks, bank_size)
 
 
 def _recompose_stacked(
     stacked: np.ndarray, magnitudes: np.ndarray, max_abs: np.ndarray, zero: np.ndarray
 ) -> np.ndarray:
-    """Per-member :func:`_recompose`, restoring all-zero members verbatim."""
-    n_members = stacked.shape[0]
-    flat = stacked.reshape(n_members, -1)
+    """Rebuild signed tensors from perturbed ``(E, n)`` magnitudes.
+
+    ``stacked`` has ``E`` rows or one shared row, whose signs and dynamic
+    range broadcast over every member.  Zero weights keep their parked rings
+    dark (sign 0), so leakage into unused channels is intentionally not
+    re-imprinted as weight; all-zero rows are restored verbatim.
+    """
+    n_rows = stacked.shape[0]
+    flat = stacked.reshape(n_rows, -1)
     safe = np.where(zero, 1.0, max_abs)
-    out = (np.sign(flat) * magnitudes * safe[:, None]).reshape(stacked.shape)
+    out = np.sign(flat) * magnitudes
+    out *= safe[:, None]
+    out = out.reshape(magnitudes.shape[0], *stacked.shape[1:])
     if zero.any():
         out[zero] = stacked[zero]
     return out
+
+
+def _drifted_magnitudes(
+    mr: MicroringResonator, magnitudes: np.ndarray, drift_nm: np.ndarray
+) -> np.ndarray:
+    """Magnitudes moved by the transmission change a resonance drift causes.
+
+    The change is the drifted minus the zero-drift realised transmission,
+    clipped to [0, 1] with the magnitudes; it is accumulated in one buffer,
+    since ensemble stacks of these arrays set the peak memory of a
+    Monte-Carlo run.
+    """
+    perturbed = np.asarray(mr.realised_transmission(magnitudes, drift_nm))
+    perturbed -= mr.realised_transmission(magnitudes, 0.0)
+    perturbed += magnitudes
+    return np.clip(perturbed, 0.0, 1.0, out=perturbed)
+
+
+def _member_draws(zero: np.ndarray, rngs: Sequence[np.random.Generator]):
+    """``(index, rng)`` of every member whose row is not all zero."""
+    member_zero = np.broadcast_to(zero, (len(rngs),))
+    return [(index, rng) for index, rng in enumerate(rngs) if not member_zero[index]]
 
 
 # ---------------------------------------------------------------------- #
@@ -283,26 +282,14 @@ class QuantizationChannel(_EnsembleChannelMixin):
         if self.bits is not None:
             check_positive_int("bits", self.bits)
 
-    def apply(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        if self.bits is None:
-            return weights
-        return quantize_array(weights, self.bits)
-
     def apply_stacked(
         self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Quantize every ensemble member to its own dynamic range at once."""
+        """Quantize every row to its own dynamic range at once."""
         stacked = np.asarray(stacked, dtype=float)
         if self.bits is None:
             return stacked
         return quantize_array_stack(stacked, self.bits)
-
-    def apply_fanout(
-        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Deterministic: one quantization serves every ensemble member."""
-        return self.apply(base, rngs[0])
 
     def describe(self) -> str:
         if self.bits is None:
@@ -329,71 +316,36 @@ class ResidualDriftChannel(_EnsembleChannelMixin):
     def __post_init__(self) -> None:
         check_non_negative("residual_drift_nm", self.residual_drift_nm)
 
-    def apply(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        if self.residual_drift_nm <= 0.0:
-            return weights
-        max_abs = float(np.max(np.abs(weights))) if weights.size else 0.0
-        if max_abs == 0.0:
-            return weights
-        normalised = np.abs(weights) / max_abs
-        errors = np.asarray(
-            self.mr.transmission_error_from_drift(normalised, self.residual_drift_nm)
-        )
-        signs = rng.choice([-1.0, 1.0], size=errors.shape)
-        return weights + signs * errors * max_abs
-
     def apply_stacked(
         self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """One Lorentzian evaluation for all members; per-member error signs.
+        """One Lorentzian evaluation per row; per-member error signs.
 
-        The random error signs are the only per-member sequential work --
-        each member's draw comes from its own generator in exactly the order
-        :meth:`apply` would consume it (all-zero members draw nothing, like
-        the scalar path's early return).
+        The error *magnitudes* depend only on the normalised weights, so a
+        shared row evaluates them once; the random sign field is the only
+        per-member work, each member drawing from its own generator (all-zero
+        rows draw nothing).
         """
         stacked = np.asarray(stacked, dtype=float)
         if self.residual_drift_nm <= 0.0 or stacked[0].size == 0:
             return stacked
-        n_members = stacked.shape[0]
-        max_abs = np.max(np.abs(stacked.reshape(n_members, -1)), axis=1)
+        n_rows = stacked.shape[0]
+        max_abs = np.max(np.abs(stacked.reshape(n_rows, -1)), axis=1)
         zero = max_abs == 0.0
-        shaped = np.where(zero, 1.0, max_abs).reshape((n_members,) + (1,) * (stacked.ndim - 1))
+        if zero.all():
+            return stacked
+        shaped = np.where(zero, 1.0, max_abs).reshape((n_rows,) + (1,) * (stacked.ndim - 1))
         normalised = np.abs(stacked) / shaped
         errors = np.asarray(
             self.mr.transmission_error_from_drift(normalised, self.residual_drift_nm)
         )
-        signs = np.zeros_like(stacked)
-        for index, rng in enumerate(rngs):
-            if not zero[index]:
-                signs[index] = rng.choice([-1.0, 1.0], size=stacked.shape[1:])
+        signs = np.zeros((len(rngs), *stacked.shape[1:]))
+        for index, rng in _member_draws(zero, rngs):
+            signs[index] = rng.choice([-1.0, 1.0], size=stacked.shape[1:])
         out = stacked + signs * errors * shaped
         if zero.any():
             out[zero] = stacked[zero]
         return out
-
-    def apply_fanout(
-        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Shared-base fast path: one Lorentzian profile, per-member signs.
-
-        The error *magnitudes* depend only on the (shared) normalised
-        weights, so they are computed once; only the random sign field is
-        per-member work.
-        """
-        base = np.asarray(base, dtype=float)
-        if self.residual_drift_nm <= 0.0:
-            return base
-        max_abs = float(np.max(np.abs(base))) if base.size else 0.0
-        if max_abs == 0.0:
-            return base
-        normalised = np.abs(base) / max_abs
-        errors = np.asarray(
-            self.mr.transmission_error_from_drift(normalised, self.residual_drift_nm)
-        )
-        signs = np.stack([rng.choice([-1.0, 1.0], size=base.shape) for rng in rngs])
-        return base + signs * errors * max_abs
 
     def describe(self) -> str:
         return f"residual-drift({self.residual_drift_nm:g} nm)"
@@ -435,94 +387,38 @@ class FPVDriftChannel(_EnsembleChannelMixin):
         """Per-ring residual drift standard deviation this channel applies."""
         return self.residual_fraction * expected_fpv_drift_nm(self.design, self.variation) / 3.0
 
-    def apply(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        sigma = self.sigma_nm
-        if sigma <= 0.0 or weights.size == 0:
-            return weights
-        magnitudes, max_abs = _tensor_magnitudes(weights)
-        if max_abs == 0.0:
-            return weights
-        drifts = sample_banked_drifts(
-            rng,
-            magnitudes.size,
-            sigma,
-            bank_size=self.mrs_per_bank,
-            bank_correlation=self.bank_correlation,
-        )
-        mr = MicroringResonator(design=self.design)
-        realised = np.asarray(mr.realised_transmission(magnitudes, drifts))
-        ideal = np.asarray(mr.realised_transmission(magnitudes, 0.0))
-        perturbed = np.clip(magnitudes + (realised - ideal), 0.0, 1.0)
-        return _recompose(weights, perturbed, max_abs)
-
     def apply_stacked(
         self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
         """Sample every member's wafer draw, then one fused Lorentzian pass.
 
-        The banked drift sampling loops over members (each generator must
-        produce exactly the draws :meth:`apply` would consume), but the
-        expensive part -- mapping ``E x n_rings`` drifts through the ring's
-        realised-transmission Lorentzian -- happens in one vectorized call.
+        The banked drift sampling loops over members (each generator
+        produces exactly the draws a one-member call would consume), but
+        mapping the ``E x n_rings`` drifts through the ring's
+        realised-transmission Lorentzian happens in one vectorized call.  The
+        normalised magnitudes and zero-drift transmissions depend only on
+        the weights, so a shared row evaluates them once.
         """
         stacked = np.asarray(stacked, dtype=float)
         sigma = self.sigma_nm
         if sigma <= 0.0 or stacked[0].size == 0:
             return stacked
         magnitudes, max_abs, zero = _stacked_magnitudes(stacked)
-        n_members, n_rings = magnitudes.shape
-        drifts = np.zeros((n_members, n_rings))
-        for index, rng in enumerate(rngs):
-            if not zero[index]:
-                drifts[index] = sample_banked_drifts(
-                    rng,
-                    n_rings,
-                    sigma,
-                    bank_size=self.mrs_per_bank,
-                    bank_correlation=self.bank_correlation,
-                )
+        if zero.all():
+            return stacked
+        n_rings = magnitudes.shape[1]
+        drifts = np.zeros((len(rngs), n_rings))
+        for index, rng in _member_draws(zero, rngs):
+            drifts[index] = sample_banked_drifts(
+                rng,
+                n_rings,
+                sigma,
+                bank_size=self.mrs_per_bank,
+                bank_correlation=self.bank_correlation,
+            )
         mr = MicroringResonator(design=self.design)
-        realised = np.asarray(mr.realised_transmission(magnitudes, drifts))
-        ideal = np.asarray(mr.realised_transmission(magnitudes, 0.0))
-        perturbed = np.clip(magnitudes + (realised - ideal), 0.0, 1.0)
+        perturbed = _drifted_magnitudes(mr, magnitudes, drifts)
         return _recompose_stacked(stacked, perturbed, max_abs, zero)
-
-    def apply_fanout(
-        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Shared-base fast path: shared magnitudes/ideal, per-member drifts.
-
-        The normalised magnitudes and the zero-drift (ideal) transmissions
-        depend only on the shared base tensor and are evaluated once; each
-        member contributes its wafer draw and one row of the fused
-        realised-transmission Lorentzian.
-        """
-        base = np.asarray(base, dtype=float)
-        sigma = self.sigma_nm
-        if sigma <= 0.0 or base.size == 0:
-            return base
-        magnitudes, max_abs = _tensor_magnitudes(base)
-        if max_abs == 0.0:
-            return base
-        drifts = np.stack(
-            [
-                sample_banked_drifts(
-                    rng,
-                    magnitudes.size,
-                    sigma,
-                    bank_size=self.mrs_per_bank,
-                    bank_correlation=self.bank_correlation,
-                )
-                for rng in rngs
-            ]
-        )
-        mr = MicroringResonator(design=self.design)
-        realised = np.asarray(mr.realised_transmission(magnitudes, drifts))
-        ideal = np.asarray(mr.realised_transmission(magnitudes, 0.0))
-        perturbed = np.clip(magnitudes + (realised - ideal), 0.0, 1.0)
-        signs = np.sign(base).ravel()
-        return (signs * perturbed * max_abs).reshape(len(rngs), *base.shape)
 
     def describe(self) -> str:
         return (
@@ -568,32 +464,13 @@ class InterChannelCrosstalkChannel(_EnsembleChannelMixin):
         """Spectral spacing of the bank's channels across the FSR."""
         return self.fsr_nm / self.mrs_per_bank
 
-    def apply(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        rejection = 10.0 ** (-self.calibration_rejection_db / 10.0)
-        if rejection == 0.0 or weights.size == 0:
-            return weights
-        magnitudes, max_abs = _tensor_magnitudes(weights)
-        if max_abs == 0.0:
-            return weights
-        phi = bank_crosstalk_matrix(
-            self.mrs_per_bank, self.channel_spacing_nm, self.quality_factor
-        )
-        banks = _to_banks(magnitudes, self.mrs_per_bank)
-        # Eq. 9: channel i accumulates phi(i, j)-weighted power from every
-        # other channel j of its bank (phi is symmetric, diagonal zeroed).
-        noise = rejection * (banks @ phi)
-        perturbed = np.clip(banks + noise, 0.0, 1.0)
-        return _recompose(weights, _from_banks(perturbed, magnitudes.size), max_abs)
-
     def apply_stacked(
         self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Mix every member's banks through the phi-matrix in one matmul.
+        """Mix every row's banks through the phi-matrix in one matmul.
 
-        Deterministic channel: the stacked ``(E, n_banks, bank) @ phi``
-        product runs the same per-slice GEMM as the scalar path, so members
-        are elementwise identical to looping :meth:`apply`.
+        Deterministic channel: the leading axis is kept, so a shared row is
+        mixed once for every member.
         """
         stacked = np.asarray(stacked, dtype=float)
         rejection = 10.0 ** (-self.calibration_rejection_db / 10.0)
@@ -604,17 +481,13 @@ class InterChannelCrosstalkChannel(_EnsembleChannelMixin):
             self.mrs_per_bank, self.channel_spacing_nm, self.quality_factor
         )
         banks = _to_banks_stacked(magnitudes, self.mrs_per_bank)
+        # Eq. 9: channel i accumulates phi(i, j)-weighted power from every
+        # other channel j of its bank (phi is symmetric, diagonal zeroed).
         noise = rejection * (banks @ phi)
         perturbed = np.clip(banks + noise, 0.0, 1.0)
-        n_members, n = magnitudes.shape
-        unbanked = perturbed.reshape(n_members, -1)[:, :n]
+        n_rows, n = magnitudes.shape
+        unbanked = perturbed.reshape(n_rows, -1)[:, :n]
         return _recompose_stacked(stacked, unbanked, max_abs, zero)
-
-    def apply_fanout(
-        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Deterministic: one phi-matrix mixing serves every member."""
-        return self.apply(base, rngs[0])
 
     def describe(self) -> str:
         return (
@@ -652,27 +525,14 @@ class ThermalCrosstalkChannel(_EnsembleChannelMixin):
         check_positive_int("mrs_per_bank", self.mrs_per_bank)
         check_non_negative("coupling_scale", self.coupling_scale)
 
-    def apply(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        weights = np.asarray(weights, dtype=float)
-        if self.coupling_scale <= 0.0 or weights.size == 0:
-            return weights
-        magnitudes, max_abs = _tensor_magnitudes(weights)
-        if max_abs == 0.0:
-            return weights
-        coupling = self.model.crosstalk_matrix(self.mrs_per_bank, self.pitch_um)
-        off_diagonal = coupling - np.eye(self.mrs_per_bank)
-        banks = _to_banks(magnitudes, self.mrs_per_bank)
-        detunings = np.asarray(self.mr.detuning_for_transmission(banks))
-        leaked_nm = self.coupling_scale * (detunings @ off_diagonal)
-        realised = np.asarray(self.mr.realised_transmission(banks, leaked_nm))
-        ideal = np.asarray(self.mr.realised_transmission(banks, 0.0))
-        perturbed = np.clip(banks + (realised - ideal), 0.0, 1.0)
-        return _recompose(weights, _from_banks(perturbed, magnitudes.size), max_abs)
-
     def apply_stacked(
         self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Leak every member's heater detunings in one stacked matmul."""
+        """Leak every row's heater detunings in one stacked matmul.
+
+        Deterministic channel: the leading axis is kept, so a shared row is
+        evaluated once for every member.
+        """
         stacked = np.asarray(stacked, dtype=float)
         if self.coupling_scale <= 0.0 or stacked[0].size == 0:
             return stacked
@@ -682,18 +542,10 @@ class ThermalCrosstalkChannel(_EnsembleChannelMixin):
         banks = _to_banks_stacked(magnitudes, self.mrs_per_bank)
         detunings = np.asarray(self.mr.detuning_for_transmission(banks))
         leaked_nm = self.coupling_scale * (detunings @ off_diagonal)
-        realised = np.asarray(self.mr.realised_transmission(banks, leaked_nm))
-        ideal = np.asarray(self.mr.realised_transmission(banks, 0.0))
-        perturbed = np.clip(banks + (realised - ideal), 0.0, 1.0)
-        n_members, n = magnitudes.shape
-        unbanked = perturbed.reshape(n_members, -1)[:, :n]
+        perturbed = _drifted_magnitudes(self.mr, banks, leaked_nm)
+        n_rows, n = magnitudes.shape
+        unbanked = perturbed.reshape(n_rows, -1)[:, :n]
         return _recompose_stacked(stacked, unbanked, max_abs, zero)
-
-    def apply_fanout(
-        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Deterministic: one heater-leakage evaluation serves every member."""
-        return self.apply(base, rngs[0])
 
     def describe(self) -> str:
         return (
@@ -736,71 +588,22 @@ class NoiseStack(_EnsembleChannelMixin):
         """A new stack with ``channel`` appended (stacks are immutable)."""
         return NoiseStack((*self.channels, channel))
 
-    def apply(self, weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Run ``weights`` through every channel in order.
-
-        Always returns a fresh array: individual no-op channels may hand
-        their input through by reference, but callers of a stack (e.g. the
-        inference engine perturbing live model weights) must be free to
-        mutate the result without corrupting the tensor they passed in.
-        """
-        source = np.asarray(weights, dtype=float)
-        out = source
-        for channel in self.channels:
-            out = channel.apply(out, rng)
-        if np.may_share_memory(out, source):
-            out = np.array(out, dtype=float)
-        return out
-
     def apply_stacked(
         self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Thread a whole ensemble through every channel in order.
+        """Thread a stack through every channel in order.
 
-        Member ``e`` sees exactly the channel sequence and random draws that
-        ``self.apply(stacked[e], rngs[e])`` would produce: each member owns
-        its generator, so interleaving members *within* a channel cannot
-        change any member's stream.  Channels without a vectorized
-        ``apply_stacked`` fall back to a per-member loop for that channel
-        only (see :func:`ensemble_apply`).
+        Member ``e`` sees exactly the channel sequence and random draws of a
+        one-member run with ``rngs[e]``: each member owns its generator, so
+        interleaving members *within* a channel cannot change any member's
+        stream.  A shared row stays shared through the deterministic prefix
+        of the stack and forks into ``len(rngs)`` rows at the first
+        stochastic (or third-party, see :func:`ensemble_apply`) channel.
         """
         rngs = list(rngs)
-        source = np.asarray(stacked, dtype=float)
-        out = source
+        out = np.asarray(stacked, dtype=float)
         for channel in self.channels:
             out = ensemble_apply(channel, out, rngs)
-        if np.may_share_memory(out, source):
-            out = np.array(out, dtype=float)
-        return out
-
-    def apply_fanout(
-        self, base: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Thread a shared base tensor, forking at the first stochastic channel.
-
-        The deterministic prefix of the stack (quantization, crosstalk
-        mixing) runs *once* on the shared tensor instead of once per member;
-        the ensemble forks to an ``(E, ...)`` stack at the first channel
-        whose fanout returns per-member output (or at the first third-party
-        channel without a fanout, which must be assumed stochastic), and the
-        remaining channels run on the stack.
-        """
-        rngs = list(rngs)
-        out = np.asarray(base, dtype=float)
-        base_ndim = out.ndim
-        forked = False
-        for channel in self.channels:
-            if forked:
-                out = ensemble_apply(channel, out, rngs)
-                continue
-            fanout = getattr(channel, "apply_fanout", None)
-            if fanout is None:
-                stacked = np.broadcast_to(out, (len(rngs), *out.shape))
-                out = ensemble_apply(channel, stacked, rngs)
-                forked = True
-            else:
-                out = np.asarray(fanout(out, rngs), dtype=float)
-                forked = out.ndim == base_ndim + 1
         return out
 
     def describe(self) -> str:

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from noise_channel_cases import CHANNELS as NAMED_CHANNELS
+from noise_channel_cases import JitterChannel
 
 from repro.nn.layers import AvgPool2D, BatchNorm, Conv2D, Dense, Dropout, Flatten, ReLU
 from repro.nn.model import Sequential
@@ -25,7 +27,6 @@ from repro.sim import (
     NoiseStack,
     PhotonicInferenceEngine,
     QuantizationChannel,
-    ResidualDriftChannel,
     ThermalCrosstalkChannel,
     default_noise_stack,
     evaluate_ensemble,
@@ -35,24 +36,7 @@ from repro.sim.noise import ensemble_apply
 from repro.sim.sweep import SweepExecutor, plan_chunks, run_sweep
 
 #: Every built-in channel at a non-trivial operating point, plus stacks.
-CHANNELS = [
-    QuantizationChannel(bits=6),
-    QuantizationChannel(bits=1),
-    QuantizationChannel(bits=None),
-    ResidualDriftChannel(residual_drift_nm=0.8),
-    FPVDriftChannel(),
-    InterChannelCrosstalkChannel(calibration_rejection_db=20.0),
-    ThermalCrosstalkChannel(coupling_scale=0.05),
-    default_noise_stack(resolution_bits=8, residual_drift_nm=0.5),
-    NoiseStack(
-        [
-            QuantizationChannel(bits=8),
-            FPVDriftChannel(),
-            InterChannelCrosstalkChannel(calibration_rejection_db=25.0),
-            ThermalCrosstalkChannel(coupling_scale=0.03),
-        ]
-    ),
-]
+CHANNELS = list(NAMED_CHANNELS.values())
 
 
 def _member_ids(value):
@@ -116,14 +100,6 @@ class TestApplyManyIdentity:
 
     def test_third_party_channel_falls_back_to_loop(self, rng):
         """Channels without apply_stacked compose via the per-member loop."""
-
-        class JitterChannel:
-            def apply(self, weights, rng):
-                return weights + rng.normal(scale=1e-3, size=weights.shape)
-
-            def describe(self):
-                return "jitter"
-
         stack = NoiseStack([QuantizationChannel(bits=8), JitterChannel()])
         weights = rng.normal(size=(5, 4))
         fused = stack.apply_many(weights, [np.random.default_rng(s) for s in range(4)])
@@ -135,6 +111,60 @@ class TestApplyManyIdentity:
     def test_apply_many_requires_generators(self):
         with pytest.raises(ValueError):
             QuantizationChannel(bits=8).apply_many(np.ones((2, 2)), [])
+
+
+class TestSharedPrefix:
+    """``apply_many`` runs a stack's deterministic prefix once per tensor."""
+
+    def test_prefix_ahead_of_first_stochastic_channel_sees_one_row(self, monkeypatch, rng):
+        seen = []
+        for cls in (
+            QuantizationChannel,
+            InterChannelCrosstalkChannel,
+            FPVDriftChannel,
+            ThermalCrosstalkChannel,
+        ):
+
+            def recording(self, stacked, rngs, _original=cls.apply_stacked, _name=cls.__name__):
+                seen.append((_name, np.shape(stacked)[0]))
+                return _original(self, stacked, rngs)
+
+            monkeypatch.setattr(cls, "apply_stacked", recording)
+        stack = NoiseStack(
+            [
+                QuantizationChannel(bits=8),
+                InterChannelCrosstalkChannel(calibration_rejection_db=25.0),
+                FPVDriftChannel(),
+                ThermalCrosstalkChannel(coupling_scale=0.03),
+            ]
+        )
+        weights = rng.normal(size=(6, 5))
+        out = stack.apply_many(weights, [np.random.default_rng(s) for s in range(16)])
+        assert seen == [
+            ("QuantizationChannel", 1),
+            ("InterChannelCrosstalkChannel", 1),
+            ("FPVDriftChannel", 1),
+            ("ThermalCrosstalkChannel", 16),
+        ]
+        assert out.shape == (16, 6, 5)
+
+    def test_deterministic_stack_consumes_no_randomness(self, rng):
+        stack = NoiseStack(
+            [
+                QuantizationChannel(bits=8),
+                InterChannelCrosstalkChannel(calibration_rejection_db=25.0),
+                ThermalCrosstalkChannel(coupling_scale=0.03),
+            ]
+        )
+        weights = rng.normal(size=(6, 5))
+        rngs = [np.random.default_rng(s) for s in range(16)]
+        out = stack.apply_many(weights, rngs)
+        for seed, generator in enumerate(rngs):
+            assert generator.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+        assert out.shape == (16, 6, 5) and out.flags.writeable
+        np.testing.assert_array_equal(out, np.broadcast_to(out[0], out.shape))
+        out[0] = 0.0
+        assert not np.array_equal(out[0], out[1])
 
 
 class TestQuantizeArrayStack:
