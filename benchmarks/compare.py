@@ -2,13 +2,7 @@
 
 Compares a fresh pytest-benchmark JSON run against the committed baseline
 (``benchmarks/BENCH_PR6.json``) and fails (exit code 1) if any tracked
-benchmark regressed beyond the threshold.  Runs are only comparable on the
-same compute backend: both JSONs carry a ``compute`` envelope (backend +
-default precision policy, stamped by ``conftest.py``), and a backend
-mismatch makes the comparison refuse outright (exit code 2) rather than
-misread accelerated-vs-reference timing as a regression or an improvement.
-Envelope-less baselines from before the backend refactor are treated as
-``numpy``/``float64``.
+benchmark regressed beyond the threshold.
 
 Because CI machines and the machine that produced the baseline differ in
 absolute speed, raw mean-time comparison would flag (or mask) everything at
@@ -38,26 +32,6 @@ from pathlib import Path
 
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "BENCH_PR6.json"
 DEFAULT_THRESHOLD = 1.20
-
-
-def load_compute(path: Path) -> dict:
-    """The ``compute`` envelope (backend + precision) of a benchmark JSON.
-
-    Runs predating the envelope (and study-report JSONs) could only have
-    come from the reference configuration, so missing fields default to
-    ``numpy`` / ``float64``.
-    """
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        payload = {}
-    compute = payload.get("compute") if isinstance(payload, dict) else None
-    compute = compute if isinstance(compute, dict) else {}
-    return {
-        "backend": compute.get("backend", "numpy"),
-        "precision": compute.get("precision", "float64"),
-    }
 
 
 def _study_report_means(payload: dict) -> dict[str, float]:
@@ -160,24 +134,6 @@ def main(argv: list[str] | None = None) -> int:
     if not args.baseline.exists():
         print(f"no baseline at {args.baseline}; run with --update to create one")
         return 0
-
-    current_compute = load_compute(args.current)
-    baseline_compute = load_compute(args.baseline)
-    if current_compute["backend"] != baseline_compute["backend"]:
-        print(
-            "refusing to compare across compute backends: current run used "
-            f"'{current_compute['backend']}', baseline was taken on "
-            f"'{baseline_compute['backend']}'.  Regenerate the baseline on the "
-            "same backend (or rerun with REPRO_BACKEND matching the baseline)."
-        )
-        return 2
-    if current_compute["precision"] != baseline_compute["precision"]:
-        print(
-            f"note: default precision differs (current "
-            f"{current_compute['precision']}, baseline "
-            f"{baseline_compute['precision']}); timings compare the policies, "
-            "not the same arithmetic"
-        )
 
     current = load_means(args.current)
     baseline = load_means(args.baseline)

@@ -10,24 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.nn.backend import active_backend, resolve_precision
 from repro.nn.zoo import build_all_models
 from repro.sim import compare_accelerators
-
-
-def pytest_benchmark_update_json(config, benchmarks, output_json):
-    """Stamp the compute configuration into the benchmark JSON envelope.
-
-    Baselines are only comparable when they were taken on the same kernel
-    backend; ``compare.py`` refuses to diff runs whose envelopes disagree.
-    ``precision`` records the process-wide default policy -- benchmarks that
-    override it per-run (e.g. the float32 fig5 sweep) additionally record
-    their own policy in ``extra_info``.
-    """
-    output_json["compute"] = {
-        "backend": active_backend().name,
-        "precision": resolve_precision(None).name,
-    }
 
 
 @pytest.fixture(scope="session")

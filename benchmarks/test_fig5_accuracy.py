@@ -5,47 +5,18 @@ datasets and sweeps the inference resolution from 1 to 16 bits.  This is the
 slowest benchmark (it performs actual training), so it uses a single
 benchmark round.
 
-Since the compute-backend refactor the benchmark runs the **float32-fast**
-precision policy on the default (numpy) backend -- the configuration the
-fig5 hot path is tuned for -- and asserts a hard speedup floor against the
-committed pre-refactor baseline (``BENCH_PR4.json``, float64, 9.94 s on the
-reference machine):
-
-* float32 / numpy: **>= 2.5x** (measured 3.3-3.5x).
-* float64 / numpy: >= 1.8x measured (2.0-2.3x); tracked via the committed
-  records' bit-identity plus ``compare.py`` rather than a second slow
-  benchmark round here.
-* accelerated (numba) backend: must beat the numpy backend on the same
-  machine (``test_fig5_accelerated_floor``, skipped when numba is absent).
-
-The original optimisation target for this PR was 5x on the default backend
-and 10x with numba.  The measured plateau on single-core OpenBLAS is
-3.3-3.5x: what remains after eliminating the float64 traffic, redundant
-per-epoch evaluates, slice-loop im2col/col2im, and the per-resolution
-re-lowering is small-GEMM BLAS time and memory-bound gather/scatter, which
-no bit-compatible restructuring removes.  The floors below are therefore set
-at the honestly achieved level (with headroom for machine noise), the same
-policy PR 3 applied when its 5x target proved unreachable under the
-bit-identity constraint.
+The benchmark runs the **float32-fast** precision policy -- the
+configuration the fig5 hot path is tuned for -- and asserts the paper's
+qualitative accuracy claims.  Its wall time is guarded by the
+machine-normalised ``compare.py`` gate of the bench job, which checks it
+against the committed ``BENCH_PR6.json`` record; an absolute speed floor
+here would compare against a number measured on another machine.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-import pytest
-
 from repro.experiments import fig5_resolution_accuracy
-from repro.nn.backend import available_backends
 from repro.sim import format_table
-
-#: Pre-refactor (PR 4) baseline of this benchmark, float64 on numpy.
-PR4_BASELINE = Path(__file__).resolve().parent / "BENCH_PR4.json"
-FIG5_BENCH = "benchmarks/test_fig5_accuracy.py::test_fig5_accuracy_vs_resolution"
-
-#: Hard speedup floor of the float32/numpy sweep vs the PR4 baseline mean.
-FLOAT32_SPEEDUP_FLOOR = 2.5
 
 FIG5_KWARGS = {
     "model_indices": (1, 2, 3, 4),
@@ -56,32 +27,11 @@ FIG5_KWARGS = {
 }
 
 
-def _pr4_fig5_mean() -> float | None:
-    """Mean seconds of the fig5 benchmark in the committed PR4 baseline."""
-    try:
-        payload = json.loads(PR4_BASELINE.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    for entry in payload.get("benchmarks", []):
-        if entry.get("fullname") == FIG5_BENCH:
-            mean = (entry.get("stats") or {}).get("mean")
-            return float(mean) if isinstance(mean, (int, float)) else None
-    return None
-
-
-def _measured_mean(benchmark) -> float:
-    """Mean seconds of the benchmarked call; skips when timing is disabled."""
-    if benchmark.stats is None:
-        pytest.skip("no timing under --benchmark-disable; speed floor not checked")
-    return benchmark.stats.stats.mean
-
-
 def test_fig5_accuracy_vs_resolution(benchmark):
     benchmark.extra_info["precision"] = "float32"
-    benchmark.extra_info["backend"] = "numpy"
     curves = benchmark.pedantic(
         fig5_resolution_accuracy.run,
-        kwargs={**FIG5_KWARGS, "precision": "float32", "backend": "numpy"},
+        kwargs={**FIG5_KWARGS, "precision": "float32"},
         rounds=1,
         iterations=1,
     )
@@ -102,49 +52,3 @@ def test_fig5_accuracy_vs_resolution(benchmark):
     for curve in curves:
         assert all(0.0 <= a <= 1.0 for a in curve.accuracy)
 
-    # Perf floor: the fused float32 sweep must stay >= FLOAT32_SPEEDUP_FLOOR
-    # faster than the committed PR4 float64 baseline of this same benchmark.
-    baseline_mean = _pr4_fig5_mean()
-    if baseline_mean is not None:
-        measured = _measured_mean(benchmark)
-        speedup = baseline_mean / measured
-        print(f"fig5 sweep speedup vs PR4 baseline: {speedup:.2f}x "
-              f"(floor {FLOAT32_SPEEDUP_FLOOR}x)")
-        assert speedup >= FLOAT32_SPEEDUP_FLOOR, (
-            f"fig5 hot path regressed: {measured:.3f}s vs PR4 baseline "
-            f"{baseline_mean:.3f}s is only {speedup:.2f}x "
-            f"(floor {FLOAT32_SPEEDUP_FLOOR}x)"
-        )
-
-
-@pytest.mark.skipif(
-    "numba" not in available_backends(),
-    reason="optional numba backend not installed",
-)
-def test_fig5_accelerated_floor(benchmark):
-    """The accelerated backend must beat the numpy backend on this machine.
-
-    A relative same-machine floor: cross-machine normalisation cannot make
-    an absolute numba floor honest when the baseline machine had no numba.
-    The jit warm-up runs outside the timed region (first call compiles).
-    """
-    import time
-
-    kwargs = {**FIG5_KWARGS, "model_indices": (1,), "epochs": 2,
-              "n_train": 120, "n_test": 60, "precision": "float32"}
-    fig5_resolution_accuracy.run(backend="numba", **kwargs)  # warm up the jit
-    start = time.perf_counter()
-    fig5_resolution_accuracy.run(backend="numpy", **kwargs)
-    numpy_s = time.perf_counter() - start
-
-    benchmark.extra_info["backend"] = "numba"
-    benchmark.pedantic(
-        fig5_resolution_accuracy.run,
-        kwargs={**kwargs, "backend": "numba"},
-        rounds=1,
-        iterations=1,
-    )
-    numba_s = _measured_mean(benchmark)
-    assert numba_s <= numpy_s * 1.05, (
-        f"accelerated backend slower than numpy: {numba_s:.3f}s vs {numpy_s:.3f}s"
-    )

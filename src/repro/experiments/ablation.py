@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.arch.vdp import VDPUnit
 from repro.crosstalk.resolution import crosslight_bank_resolution
 from repro.devices.constants import EO_TUNING, TO_TUNING
-from repro.nn.backend import resolve_precision, use_backend
+from repro.nn.backend import resolve_precision
 from repro.nn.datasets import sign_mnist_synthetic
 from repro.nn.zoo import build_model
 from repro.sim.noise import FPVDriftChannel, NoiseStack, QuantizationChannel
@@ -51,7 +51,6 @@ from repro.sim.sweep import run_sweep
 from repro.study import (
     RunContext,
     StudyConfig,
-    backend_field,
     experiment,
     precision_field,
     run_main,
@@ -163,7 +162,7 @@ def tuning_latency_ablation(vector_size: int = 20) -> TuningLatencyAblation:
     )
 
 
-def _trained_compact_model(epochs, n_train, n_test, policy, backend):
+def _trained_compact_model(epochs, n_train, n_test, policy):
     """Train the compact LeNet-5 on Sign-MNIST under a compute policy."""
     train_x, train_y, test_x, test_y = sign_mnist_synthetic(n_train=n_train, n_test=n_test)
     model = build_model(1, compact=True)
@@ -171,8 +170,7 @@ def _trained_compact_model(epochs, n_train, n_test, policy, backend):
         model.astype(policy.dtype)
         train_x = train_x.astype(policy.dtype, copy=False)
         test_x = test_x.astype(policy.dtype, copy=False)
-    with use_backend(backend):
-        model.fit(train_x, train_y, epochs=epochs, batch_size=32, seed=0)
+    model.fit(train_x, train_y, epochs=epochs, batch_size=32, seed=0)
     return model, test_x, test_y
 
 
@@ -182,19 +180,18 @@ def drift_accuracy_ablation(
     n_train: int = 300,
     n_test: int = 120,
     precision=None,
-    backend=None,
 ) -> tuple[PhotonicInferenceResult, ...]:
     """Accuracy of a trained compact model vs uncompensated drift.
 
-    ``precision`` / ``backend`` select the compute policy and kernel backend
-    for both the training run and the fused drift sweep.
+    ``precision`` selects the compute policy for both the training run and
+    the fused drift sweep.
     """
     policy = resolve_precision(precision)
-    model, test_x, test_y = _trained_compact_model(epochs, n_train, n_test, policy, backend)
+    model, test_x, test_y = _trained_compact_model(epochs, n_train, n_test, policy)
     return tuple(
         accuracy_vs_residual_drift(
             model, test_x, test_y, drifts_nm, resolution_bits=16,
-            precision=policy, backend=backend,
+            precision=policy,
         )
     )
 
@@ -208,7 +205,6 @@ def fpv_monte_carlo_ablation(
     n_test: int = 120,
     n_workers: int | None = None,
     precision=None,
-    backend=None,
 ) -> FPVMonteCarloAblation:
     """Monte-Carlo FPV accuracy with and without tuning compensation.
 
@@ -219,11 +215,11 @@ def fpv_monte_carlo_ablation(
     :func:`repro.sim.photonic_inference.monte_carlo_accuracy`, which stacks
     the draws along the ensemble axis and runs fused forward passes (pass
     ``n_workers > 1`` to additionally spread seed chunks over a process
-    pool).  ``precision`` / ``backend`` select the compute policy and kernel
-    backend end to end, including inside worker processes.
+    pool).  ``precision`` selects the compute policy end to end, including
+    inside worker processes.
     """
     policy = resolve_precision(precision)
-    model, test_x, test_y = _trained_compact_model(epochs, n_train, n_test, policy, backend)
+    model, test_x, test_y = _trained_compact_model(epochs, n_train, n_test, policy)
 
     def stack(residual_fraction: float) -> NoiseStack:
         return NoiseStack(
@@ -233,17 +229,16 @@ def fpv_monte_carlo_ablation(
             ]
         )
 
-    with use_backend(backend):
-        ideal = ideal_model_accuracy(model, test_x, test_y)
+    ideal = ideal_model_accuracy(model, test_x, test_y)
     uncompensated = monte_carlo_accuracy(
         model, test_x, test_y, stack(1.0),
         seeds=seeds, activation_bits=resolution_bits, n_workers=n_workers,
-        precision=policy, backend=backend, ideal_accuracy=ideal,
+        precision=policy, ideal_accuracy=ideal,
     )
     compensated = monte_carlo_accuracy(
         model, test_x, test_y, stack(compensated_residual_fraction),
         seeds=seeds, activation_bits=resolution_bits, n_workers=n_workers,
-        precision=policy, backend=backend, ideal_accuracy=ideal,
+        precision=policy, ideal_accuracy=ideal,
     )
     return FPVMonteCarloAblation(uncompensated=uncompensated, compensated=compensated)
 
@@ -253,17 +248,14 @@ def run(
     include_fpv_monte_carlo: bool = False,
     n_workers: int | None = None,
     precision=None,
-    backend=None,
 ) -> AblationResult:
     """Run every ablation study (the accuracy ones train a model)."""
     drift_accuracy: tuple[PhotonicInferenceResult, ...] = ()
     if include_drift_accuracy:
-        drift_accuracy = drift_accuracy_ablation(precision=precision, backend=backend)
+        drift_accuracy = drift_accuracy_ablation(precision=precision)
     fpv_monte_carlo = None
     if include_fpv_monte_carlo:
-        fpv_monte_carlo = fpv_monte_carlo_ablation(
-            n_workers=n_workers, precision=precision, backend=backend
-        )
+        fpv_monte_carlo = fpv_monte_carlo_ablation(n_workers=n_workers, precision=precision)
     return AblationResult(
         wavelength_reuse=wavelength_reuse_ablation(),
         bank_size_sweep=bank_size_ablation(),
@@ -375,7 +367,6 @@ class AblationConfig(StudyConfig):
                           "two 8-seed Monte-Carlo sweeps)"},
     )
     precision: str = precision_field()
-    backend: str | None = backend_field()
 
 
 @experiment(
@@ -387,15 +378,14 @@ class AblationConfig(StudyConfig):
 def _study(config: AblationConfig, ctx: RunContext) -> tuple[AblationResult, str]:
     """Isolate CrossLight's design choices one at a time (paper Section IV).
 
-    The accuracy studies run on the selected compute backend under the
-    selected precision policy (``--backend`` / ``--precision``).
+    The accuracy studies run under the selected precision policy
+    (``--precision``).
     """
     result = run(
         include_drift_accuracy=config.include_drift_accuracy,
         include_fpv_monte_carlo=config.include_fpv_monte_carlo,
         n_workers=ctx.n_workers,
         precision=config.precision,
-        backend=config.backend,
     )
     return result, _render(result)
 

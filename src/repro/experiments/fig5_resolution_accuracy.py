@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from repro.nn.backend import resolve_precision, use_backend
+from repro.nn.backend import resolve_precision
 from repro.nn.datasets import dataset_for_model
 from repro.nn.losses import pair_accuracy
 from repro.nn.model import SiameseModel
@@ -48,7 +48,6 @@ from repro.sim.sweep import SweepExecutor, run_sweep
 from repro.study import (
     RunContext,
     StudyConfig,
-    backend_field,
     experiment,
     precision_field,
     run_main,
@@ -85,7 +84,6 @@ def _classification_accuracies(
     bits_sweep: tuple[int, ...],
     ideal_accuracy: float,
     precision=None,
-    backend=None,
 ) -> list[float]:
     """Accuracy of a classifier at every resolution of the Fig. 5 sweep.
 
@@ -106,7 +104,6 @@ def _classification_accuracies(
         activation_bits=list(bits_sweep),
         batch_size=128,
         precision=precision,
-        backend=backend,
         ideal_accuracy=ideal_accuracy,
     )
     return [record.accuracy for record in records]
@@ -132,7 +129,6 @@ def run_for_model(
     n_train: int = 400,
     n_test: int = 200,
     precision=None,
-    backend=None,
 ) -> AccuracyCurve:
     """Train one compact model and sweep its inference resolution.
 
@@ -140,8 +136,7 @@ def run_for_model(
     under the default float64 policy the curve is bit-identical to the
     committed reference records; under float32 the model trains *and*
     evaluates in single precision, with accuracies within the policy's
-    documented tolerance.  ``backend`` selects the kernel backend the
-    training loop and the ensemble sweep run on.
+    documented tolerance.
     """
     policy = resolve_precision(precision)
     spec = model_spec(model_index)
@@ -166,14 +161,13 @@ def run_for_model(
         # Light training: pull same-class embeddings together by training the
         # trunk to classify which prototype generated each image.
         accuracies = []
-        with use_backend(backend):
-            # Distance threshold calibrated at full precision.
-            full_precision_distances = model.pair_distances(data[3], data[4])
-            threshold = float(np.median(full_precision_distances))
-            for bits in bits_sweep:
-                accuracies.append(
-                    _siamese_accuracy_at_bits(model, data, bits, threshold)
-                )
+        # Distance threshold calibrated at full precision.
+        full_precision_distances = model.pair_distances(data[3], data[4])
+        threshold = float(np.median(full_precision_distances))
+        for bits in bits_sweep:
+            accuracies.append(
+                _siamese_accuracy_at_bits(model, data, bits, threshold)
+            )
         return AccuracyCurve(
             model_index=model_index,
             model_name=spec.name,
@@ -182,22 +176,21 @@ def run_for_model(
         )
 
     train_x, train_y, test_x, test_y = data
-    with use_backend(backend):
-        # track_accuracy=False skips the per-epoch full-train-set evaluate;
-        # the optimisation trajectory (and so the final weights) is
-        # bit-identical, only the unused per-epoch accuracy log disappears.
-        model.fit(
-            train_x,
-            train_y,
-            epochs=epochs,
-            batch_size=32,
-            seed=model_index,
-            track_accuracy=False,
-        )
-        ideal = ideal_model_accuracy(model, test_x, test_y, batch_size=128)
+    # track_accuracy=False skips the per-epoch full-train-set evaluate;
+    # the optimisation trajectory (and so the final weights) is
+    # bit-identical, only the unused per-epoch accuracy log disappears.
+    model.fit(
+        train_x,
+        train_y,
+        epochs=epochs,
+        batch_size=32,
+        seed=model_index,
+        track_accuracy=False,
+    )
+    ideal = ideal_model_accuracy(model, test_x, test_y, batch_size=128)
     accuracies = _classification_accuracies(
         model, test_x, test_y, tuple(bits_sweep), ideal,
-        precision=policy, backend=backend,
+        precision=policy,
     )
     return AccuracyCurve(
         model_index=model_index,
@@ -216,15 +209,14 @@ def run(
     n_workers: int | None = None,
     executor: SweepExecutor | None = None,
     precision=None,
-    backend=None,
 ) -> list[AccuracyCurve]:
     """Accuracy-vs-resolution curves for the requested models.
 
     The per-model sweep points are independent (each trains its own model),
     so ``n_workers > 1`` -- or a warm :class:`SweepExecutor` from a
     multi-study session -- fans them out over a process pool.  ``precision``
-    / ``backend`` select the compute policy and kernel backend per
-    :func:`run_for_model` (worker processes resolve names independently).
+    selects the compute policy per :func:`run_for_model` (worker processes
+    receive the policy name).
     """
     sweep = run_sweep(
         partial(
@@ -234,7 +226,6 @@ def run(
             n_train=n_train,
             n_test=n_test,
             precision=resolve_precision(precision).name,
-            backend=backend if backend is None or isinstance(backend, str) else backend.name,
         ),
         [{"model_index": int(index)} for index in model_indices],
         n_workers=n_workers,
@@ -273,7 +264,6 @@ class Fig5Config(StudyConfig):
     n_train: int = field(default=400, metadata={"help": "training samples", "min": 1})
     n_test: int = field(default=200, metadata={"help": "test samples", "min": 1})
     precision: str = precision_field()
-    backend: str | None = backend_field()
 
 
 @experiment(
@@ -285,8 +275,8 @@ class Fig5Config(StudyConfig):
 def _study(config: Fig5Config, ctx: RunContext) -> tuple[list[AccuracyCurve], str]:
     """Reproduce Fig. 5: train the zoo models and sweep inference resolution.
 
-    Compute runs on the selected backend under the selected precision
-    policy (``--backend`` / ``--precision``); float64 reproduces the
+    Compute runs under the selected precision policy (``--precision``);
+    float64 reproduces the
     committed reference records bit-exactly, float32 stays within the
     policy's documented tolerance.
     """
@@ -299,7 +289,6 @@ def _study(config: Fig5Config, ctx: RunContext) -> tuple[list[AccuracyCurve], st
         n_workers=ctx.n_workers,
         executor=ctx.executor,
         precision=config.precision,
-        backend=config.backend,
     )
     return curves, _render(curves)
 

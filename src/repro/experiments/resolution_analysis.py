@@ -31,12 +31,11 @@ from repro.crosstalk.resolution import (
     holylight_microdisk_resolution,
     resolution_vs_mrs_per_bank,
 )
-from repro.nn.backend import resolve_precision, use_backend
+from repro.nn.backend import resolve_precision
 from repro.sim.results import format_table
 from repro.study import (
     RunContext,
     StudyConfig,
-    backend_field,
     experiment,
     precision_field,
     run_main,
@@ -83,7 +82,6 @@ def bank_size_accuracy(
     n_train: int = 300,
     n_test: int = 150,
     precision=None,
-    backend=None,
 ) -> tuple[BankSizeAccuracyPoint, ...]:
     """Accuracy of a trained compact model at each bank size's resolution.
 
@@ -95,9 +93,9 @@ def bank_size_accuracy(
     bank beyond ~15 MRs cuts the crosstalk-limited resolution, and this
     study shows where that starts costing model accuracy.
 
-    ``precision`` / ``backend`` select the compute policy and kernel backend
-    for the training run and the ensemble sweep (float64 = bit-exact
-    reference path, float32 = fast path within the policy tolerance).
+    ``precision`` selects the compute policy for the training run and the
+    ensemble sweep (float64 = bit-exact reference path, float32 = fast path
+    within the policy tolerance).
     """
     # Imported here: the device-level analysis above must stay importable
     # without pulling in the NN substrate.
@@ -113,15 +111,14 @@ def bank_size_accuracy(
         model.astype(policy.dtype)
         train_x = train_x.astype(policy.dtype, copy=False)
         test_x = test_x.astype(policy.dtype, copy=False)
-    with use_backend(backend):
-        model.fit(train_x, train_y, epochs=epochs, batch_size=32, seed=0)
+    model.fit(train_x, train_y, epochs=epochs, batch_size=32, seed=0)
 
-        sizes = [int(size) for size in bank_sizes]
-        bits = [
-            max(1, crosslight_bank_resolution(n_mrs_per_bank=size).resolution_bits)
-            for size in sizes
-        ]
-        ideal = ideal_model_accuracy(model, test_x, test_y, batch_size=128)
+    sizes = [int(size) for size in bank_sizes]
+    bits = [
+        max(1, crosslight_bank_resolution(n_mrs_per_bank=size).resolution_bits)
+        for size in sizes
+    ]
+    ideal = ideal_model_accuracy(model, test_x, test_y, batch_size=128)
     records = evaluate_ensemble(
         model,
         test_x,
@@ -131,7 +128,6 @@ def bank_size_accuracy(
         activation_bits=bits,
         batch_size=128,
         precision=policy,
-        backend=backend,
         ideal_accuracy=ideal,
     )
     return tuple(
@@ -149,12 +145,11 @@ def run(
     max_mrs: int = 30,
     include_accuracy: bool = False,
     precision=None,
-    backend=None,
 ) -> ResolutionAnalysisResult:
     """Run the resolution analysis for all three accelerator designs."""
     accuracy_points: tuple[BankSizeAccuracyPoint, ...] = ()
     if include_accuracy:
-        accuracy_points = bank_size_accuracy(precision=precision, backend=backend)
+        accuracy_points = bank_size_accuracy(precision=precision)
     return ResolutionAnalysisResult(
         crosslight=crosslight_bank_resolution(),
         deap_cnn=deap_cnn_bank_resolution(),
@@ -241,7 +236,6 @@ class ResolutionAnalysisConfig(StudyConfig):
                           "(trains a model, ensemble-evaluated)"},
     )
     precision: str = precision_field()
-    backend: str | None = backend_field()
 
 
 @experiment(
@@ -255,14 +249,13 @@ def _study(
 ) -> tuple[ResolutionAnalysisResult, str]:
     """Reproduce Section V.B: crosstalk-limited resolution of all three designs.
 
-    The optional accuracy study runs on the selected compute backend under
-    the selected precision policy (``--backend`` / ``--precision``).
+    The optional accuracy study runs under the selected precision policy
+    (``--precision``).
     """
     result = run(
         max_mrs=config.max_mrs,
         include_accuracy=config.include_accuracy,
         precision=config.precision,
-        backend=config.backend,
     )
     return result, _render(result)
 

@@ -12,12 +12,11 @@ from scratch on NumPy.  This module holds the stateless numerical kernels:
 
 All kernels use NCHW layout: ``(batch, channels, height, width)``.
 
-The heavy kernels (GEMMs, im2col/col2im, activation ufuncs) dispatch to the
-process-wide :class:`repro.nn.backend.ComputeBackend`
-(:func:`repro.nn.backend.active_backend`), so swapping the backend swaps the
-numerics of every layer, ensemble, and experiment at once.  The reference
-backend is bit-identical to the historical implementations; see
-:mod:`repro.nn.backend` for the selection API and the precision policy.
+The heavy kernels (GEMMs, im2col/col2im, activation ufuncs) run on the
+process-wide :class:`repro.nn.backend.ComputeBackend` kernel object
+(:func:`repro.nn.backend.active_backend`), whose numpy kernels are
+bit-identical to the historical implementations; see
+:mod:`repro.nn.backend` for the kernels and the precision policy.
 
 Every function here preserves a floating input dtype (float32 in, float32
 out) -- the float32 precision policy relies on no kernel silently upcasting
@@ -70,10 +69,9 @@ def im2col(
 
     Notes
     -----
-    Dispatches to the active compute backend.  The lowering is a pure
-    gather, so every backend's output is bit-identical; the reference
-    backend applies a cached per-geometry index with one fused
-    :func:`numpy.take` (no python loop, no transpose copy).
+    The lowering is a pure gather, bit-identical to the historical
+    slice loop: the kernel object applies a cached per-geometry index with
+    one fused :func:`numpy.take` (no python loop, no transpose copy).
     """
     return active_backend().im2col(images, kernel_h, kernel_w, stride, padding)
 
@@ -90,7 +88,7 @@ def col2im(
 
     Overlapping patch positions accumulate, which is what makes this the
     correct gradient operation for the convolution backward pass.  The
-    accumulation order over kernel taps is part of the backend bit-identity
+    accumulation order over kernel taps is part of the kernels' bit-identity
     contract (it fixes the float64 training trajectory).
     """
     return active_backend().col2im(
@@ -99,7 +97,7 @@ def col2im(
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """2-D matrix product on the active compute backend."""
+    """2-D matrix product on the compute kernels."""
     return active_backend().matmul(a, b, out=out)
 
 
@@ -220,7 +218,7 @@ def ensemble_conv2d(
 # Activations
 # --------------------------------------------------------------------------- #
 def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit (dispatches to the active backend)."""
+    """Rectified linear unit."""
     return active_backend().relu(x)
 
 
@@ -246,7 +244,7 @@ def sigmoid_grad(x: np.ndarray) -> np.ndarray:
 
 
 def tanh(x: np.ndarray) -> np.ndarray:
-    """Hyperbolic tangent activation (dispatches to the active backend)."""
+    """Hyperbolic tangent activation."""
     return active_backend().tanh(x)
 
 

@@ -81,10 +81,6 @@ class TraceEvent(tuple):
         return tuple(self[2:])
 
 
-#: Backward-compatible alias: an event-trace entry is (a subclass of) tuple.
-TraceEntry = tuple
-
-
 @dataclass(frozen=True)
 class Request:
     """One inference request flowing through the serving system."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.serve.events import Batch, Request, TraceEntry
+from repro.serve.events import Batch, Request, TraceEvent
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class ServingReport:
     batches: tuple[Batch, ...]
     worker_busy_s: tuple[float, ...]
     peak_queue_depth: int
-    event_trace: tuple[TraceEntry, ...]
+    event_trace: tuple[TraceEvent, ...]
     outputs: dict[int, int] | None = field(default=None, compare=False)
     # --- fault / degradation extensions (all zero without fault injection) ---
     faults: str = "none"
@@ -420,7 +420,7 @@ class MetricsCollector:
         n_in_flight_end: int,
         worker_busy_s: tuple[float, ...],
         peak_queue_depth: int,
-        event_trace: tuple[TraceEntry, ...],
+        event_trace: tuple[TraceEvent, ...],
         outputs: dict[int, int] | None,
         faults: str = "none",
         worker_power_w: tuple[float, ...] = (),

@@ -52,7 +52,7 @@ from collections.abc import Iterable, Sequence as SequenceABC
 from functools import partial
 
 from repro.devices.mr import MicroringResonator
-from repro.nn.backend import active_backend, get_backend, resolve_precision, use_backend
+from repro.nn.backend import resolve_precision
 from repro.nn.layers import BatchNorm, Conv2D, Dropout, Flatten, ReLU, Sigmoid, Tanh
 from repro.nn.model import Sequential
 from repro.nn.quantization import (
@@ -307,10 +307,10 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
       merged mega-batch measured cache-hostile (pooling and batch-norm
       gathers), each per-member call being the exact scalar forward.
 
-    At ``dtype=float64`` (the default) every member's logits and accuracy
-    are elementwise identical to a sequential per-seed
-    :class:`PhotonicInferenceEngine` evaluation; ``dtype=np.float32`` is an
-    opt-in compute mode that halves peak memory at a small numerical
+    At ``precision="float64"`` (the default) every member's logits and
+    accuracy are elementwise identical to a sequential per-seed
+    :class:`PhotonicInferenceEngine` evaluation; ``precision="float32"`` is
+    an opt-in compute mode that halves peak memory at a small numerical
     tolerance.  ``member_chunk`` bounds how many members are resident at
     once (peak activation memory scales with ``member_chunk * batch_size``).
 
@@ -328,22 +328,14 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     activation_bits:
         Inter-layer activation resolution: one value for all members or a
         per-member sequence (``None`` keeps activations in float).
-    dtype:
-        Back-compat spelling of ``precision``: ``numpy.float64`` (exact) or
-        ``numpy.float32`` (memory-lean).
     precision:
         A :class:`~repro.nn.backend.PrecisionPolicy` (or its name,
         ``"float64"`` / ``"float32"``) selecting the compute precision and
-        its documented tolerance contract.  Takes precedence over ``dtype``.
+        its documented tolerance contract.
     member_chunk:
         Maximum members evaluated simultaneously; defaults to
         :data:`DEFAULT_MEMBER_CHUNK` so peak activation memory stays flat
         in the ensemble size (results are chunk-invariant).
-    backend:
-        Compute backend the fused passes run on: a registered name
-        (``"numpy"``, ``"numba"``, ``"auto"``), a
-        :class:`~repro.nn.backend.ComputeBackend` instance, or ``None`` to
-        use the process-wide active backend.
     """
 
     def __init__(
@@ -352,10 +344,8 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         seeds,
         *,
         activation_bits=None,
-        dtype=None,
         precision=None,
         member_chunk: int | None = None,
-        backend=None,
     ) -> None:
         shared_stack, member_stacks = self._normalise_stacks(noise_stacks)
         if isinstance(seeds, (int, np.integer)):
@@ -389,9 +379,8 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
                 check_positive_int("activation_bits", bits)
         self.activation_bits = bits_list
 
-        self.precision = resolve_precision(precision if precision is not None else dtype)
+        self.precision = resolve_precision(precision)
         self._dtype = self.precision.dtype
-        self._backend = backend
         if member_chunk is not None:
             check_positive_int("member_chunk", member_chunk)
         self._member_chunk = member_chunk if member_chunk is not None else DEFAULT_MEMBER_CHUNK
@@ -432,11 +421,6 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         if self._member_stacks is not None:
             return self._member_stacks
         return (self._shared_stack,) * self.n_members
-
-    def describe_compute(self) -> str:
-        """One-line summary of the compute backend + precision policy."""
-        backend = get_backend(self._backend) if self._backend is not None else active_backend()
-        return f"backend={backend.name}, precision={self.precision.name}"
 
     # ------------------------------------------------------------------ #
     # Weight perturbation
@@ -526,8 +510,8 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         resolution point.  This pass instead prepares every resolution's
         prefix up front: all distinct input-quantization variants are
         computed, and when the model opens with a noisy Conv2D they are
-        stacked along the batch axis and lowered with **one** backend
-        ``im2col`` call, whose row blocks are then sliced back into the
+        stacked along the batch axis and lowered with **one** ``im2col``
+        call, whose row blocks are then sliced back into the
         per-resolution cache entries :meth:`_forward_members` consumes.
 
         The merged lowering is bit-identical to the per-resolution calls:
@@ -644,24 +628,23 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         seed_e).predict(model, inputs, batch_size)`` elementwise at float64.
         """
         check_positive_int("batch_size", batch_size)
-        with use_backend(self._backend):
-            layer_stacks = self.perturbed_weight_stacks(model)
-            model.eval()
-            inputs = np.asarray(inputs)
-            chunks = self._member_chunks()
-            outputs = []
-            for start in range(0, inputs.shape[0], batch_size):
-                batch = inputs[start : start + batch_size]
-                cache: dict = {}
-                self._plan_batch(model, layer_stacks, batch, chunks, cache)
-                parts = [
-                    self._forward_members(model, layer_stacks, batch, members, cache)
-                    for members in chunks
-                ]
-                outputs.append(
-                    parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-                )
-            return np.concatenate(outputs, axis=1)
+        layer_stacks = self.perturbed_weight_stacks(model)
+        model.eval()
+        inputs = np.asarray(inputs)
+        chunks = self._member_chunks()
+        outputs = []
+        for start in range(0, inputs.shape[0], batch_size):
+            batch = inputs[start : start + batch_size]
+            cache: dict = {}
+            self._plan_batch(model, layer_stacks, batch, chunks, cache)
+            parts = [
+                self._forward_members(model, layer_stacks, batch, members, cache)
+                for members in chunks
+            ]
+            outputs.append(
+                parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+            )
+        return np.concatenate(outputs, axis=1)
 
     def evaluate(
         self,
@@ -709,10 +692,8 @@ def evaluate_ensemble(
     *,
     activation_bits=None,
     batch_size: int = 64,
-    dtype=None,
     precision=None,
     member_chunk: int | None = None,
-    backend=None,
     ideal_accuracy: float | None = None,
 ) -> tuple[PhotonicInferenceResult, ...]:
     """One-shot :class:`EnsembleInferenceEngine` evaluation.
@@ -721,17 +702,15 @@ def evaluate_ensemble(
     per-member :class:`PhotonicInferenceResult` records.  This is the fused
     primitive :func:`monte_carlo_accuracy`,
     :func:`accuracy_vs_residual_drift`, and the experiment drivers run on.
-    ``precision`` and ``backend`` select the compute policy and kernel
-    backend exactly as on the engine constructor.
+    ``precision`` selects the compute policy exactly as on the engine
+    constructor.
     """
     engine = EnsembleInferenceEngine(
         noise_stacks,
         seeds,
         activation_bits=activation_bits,
-        dtype=dtype,
         precision=precision,
         member_chunk=member_chunk,
-        backend=backend,
     )
     return engine.evaluate(
         model, inputs, labels, batch_size=batch_size, ideal_accuracy=ideal_accuracy
@@ -851,7 +830,6 @@ def accuracy_vs_residual_drift(
     seed: int = 0,
     member_chunk: int | None = None,
     precision=None,
-    backend=None,
 ) -> list[PhotonicInferenceResult]:
     """Sweep the uncompensated drift and measure inference accuracy.
 
@@ -880,7 +858,6 @@ def accuracy_vs_residual_drift(
         batch_size=64,
         precision=precision,
         member_chunk=member_chunk,
-        backend=backend,
         ideal_accuracy=ideal,
     )
     return list(records)
@@ -931,7 +908,6 @@ def _evaluate_seed_chunk(
     ideal_accuracy: float,
     member_chunk: int | None,
     precision: str,
-    backend: str | None,
 ) -> tuple[PhotonicInferenceResult, ...]:
     """One contiguous seed chunk, ensemble-evaluated (picklable for pools)."""
     return evaluate_ensemble(
@@ -944,7 +920,6 @@ def _evaluate_seed_chunk(
         batch_size=batch_size,
         precision=precision,
         member_chunk=member_chunk,
-        backend=backend,
         ideal_accuracy=ideal_accuracy,
     )
 
@@ -960,9 +935,7 @@ def monte_carlo_accuracy(
     n_workers: int | None = None,
     ideal_accuracy: float | None = None,
     member_chunk: int | None = None,
-    dtype=None,
     precision=None,
-    backend=None,
 ) -> MonteCarloAccuracy:
     """Accuracy distribution of a noise stack over seeded Monte-Carlo trials.
 
@@ -1005,17 +978,9 @@ def monte_carlo_accuracy(
     member_chunk:
         Maximum seeds evaluated simultaneously per process (bounds peak
         memory; defaults to :data:`DEFAULT_MEMBER_CHUNK`).
-    dtype:
-        Back-compat spelling of ``precision``: ``numpy.float64`` (exact) or
-        ``numpy.float32`` (memory-lean, small numerical tolerance).
     precision:
         :class:`~repro.nn.backend.PrecisionPolicy` (or name) selecting the
-        compute precision; takes precedence over ``dtype``.
-    backend:
-        Compute backend name (``"numpy"``/``"numba"``/``"auto"``) or
-        instance; ``None`` uses the process-wide active backend.  Worker
-        processes resolve the name independently, so pass a *name* (not an
-        instance) together with ``n_workers > 1``.
+        compute precision; worker processes receive the policy name.
 
     Returns
     -------
@@ -1035,15 +1000,13 @@ def monte_carlo_accuracy(
         seed_list = tuple(int(seed) for seed in seeds)
         if not seed_list:
             raise ValueError("seeds must not be empty")
-    policy = resolve_precision(precision if precision is not None else dtype)
+    policy = resolve_precision(precision)
     ideal = (
         float(ideal_accuracy)
         if ideal_accuracy is not None
         else ideal_model_accuracy(model, inputs, labels, batch_size=batch_size)
     )
     if n_workers is not None and n_workers > 1 and len(seed_list) > 1:
-        # Backend instances are process-local; ship the name to workers.
-        backend_name = backend if backend is None or isinstance(backend, str) else backend.name
         chunks = plan_chunks(len(seed_list), n_chunks=n_workers)
         sweep = run_sweep(
             partial(
@@ -1057,7 +1020,6 @@ def monte_carlo_accuracy(
                 ideal_accuracy=ideal,
                 member_chunk=member_chunk,
                 precision=policy.name,
-                backend=backend_name,
             ),
             [{"seeds": tuple(seed_list[i] for i in chunk)} for chunk in chunks],
             n_workers=n_workers,
@@ -1074,7 +1036,6 @@ def monte_carlo_accuracy(
             batch_size=batch_size,
             precision=policy,
             member_chunk=member_chunk,
-            backend=backend,
             ideal_accuracy=ideal,
         )
     return MonteCarloAccuracy(

@@ -31,7 +31,7 @@ Registering a new experiment is ~30 lines in a driver module::
 (plus one manifest line in :data:`repro.study.registry.EXPERIMENT_MODULES`).
 """
 
-from repro.study.config import ConfigField, StudyConfig, backend_field, precision_field
+from repro.study.config import ConfigField, StudyConfig, precision_field
 from repro.study.registry import (
     EXPERIMENT_MODULES,
     Experiment,
@@ -53,7 +53,6 @@ __all__ = [
     "StudyReport",
     "StudyRunner",
     "all_experiments",
-    "backend_field",
     "experiment",
     "experiment_names",
     "get_experiment",

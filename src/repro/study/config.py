@@ -29,7 +29,7 @@ import typing
 from dataclasses import dataclass, fields
 from typing import Any, Union
 
-__all__ = ["ConfigField", "StudyConfig", "precision_field", "backend_field"]
+__all__ = ["ConfigField", "StudyConfig", "precision_field"]
 
 
 def precision_field(default: str = "float64") -> Any:
@@ -49,26 +49,6 @@ def precision_field(default: str = "float64") -> Any:
                 "within the documented tolerance"
             ),
             "choices": ("float64", "float32"),
-        },
-    )
-
-
-def backend_field(default: str | None = None) -> Any:
-    """A standard ``backend`` config field for compute-backend selection.
-
-    ``None`` (the default) defers to the process-wide active backend
-    (the ``REPRO_BACKEND`` environment variable, default numpy); explicit
-    values are resolved through :func:`repro.nn.backend.get_backend`, so
-    ``auto`` picks an accelerated backend when one is installed.
-    """
-    return dataclasses.field(
-        default=default,
-        metadata={
-            "help": (
-                "compute backend: numpy (reference), numba (accelerated, "
-                "requires the optional numba package), or auto; default is "
-                "the process-wide active backend (REPRO_BACKEND)"
-            ),
         },
     )
 

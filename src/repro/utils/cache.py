@@ -32,7 +32,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
-__all__ = ["CacheInfo", "global_cache_stats", "iter_cache_infos", "memoize"]
+__all__ = ["CacheInfo", "iter_cache_infos", "memoize"]
 
 
 @dataclass(frozen=True)
@@ -68,37 +68,6 @@ def iter_cache_infos() -> list[tuple[str, CacheInfo]]:
     with _CACHE_REGISTRY_LOCK:
         functions = sorted(_CACHE_REGISTRY.items())
     return [(name, fn.cache_info()) for name, fn in functions]
-
-
-def global_cache_stats() -> dict[str, CacheInfo]:
-    """Snapshot the cache statistics of every live memoized function.
-
-    Keys are ``module.qualname`` of the wrapped functions; values are their
-    current :class:`CacheInfo`.  The study runner diffs two snapshots to
-    report the cache hits/misses one experiment run was responsible for.
-
-    Since the observability PR this is a thin view over the unified
-    metrics registry: the numbers are read back from the ``cache.*``
-    samples that :func:`repro.obs.metrics.default_registry` exposes via
-    its cache collector, so there is exactly one accounting path.  (The
-    collector itself calls :func:`iter_cache_infos`; the import is lazy to
-    keep this module stdlib-only at import time.)
-    """
-    from repro.obs.metrics import default_registry
-
-    by_fn: dict[str, dict[str, float]] = {}
-    for sample in default_registry().collect(prefix="cache."):
-        fn = dict(sample.labels).get("fn", "")
-        by_fn.setdefault(fn, {})[sample.name] = float(sample.value)
-    return {
-        name: CacheInfo(
-            hits=int(fields.get("cache.hits", 0)),
-            misses=int(fields.get("cache.misses", 0)),
-            currsize=int(fields.get("cache.size", 0)),
-            maxsize=int(fields.get("cache.maxsize", 0)),
-        )
-        for name, fields in sorted(by_fn.items())
-    }
 
 
 def memoize(maxsize: int = 128) -> Callable:

@@ -334,11 +334,11 @@ class TestChunkingAndDtype:
         )
         lean = monte_carlo_accuracy(
             model, test_x, test_y, fpv_stack, seeds=4, activation_bits=None,
-            dtype=np.float32,
+            precision="float32",
         )
         np.testing.assert_allclose(lean.accuracies, exact.accuracies, atol=0.05)
         engine = EnsembleInferenceEngine(
-            fpv_stack, [0, 1], activation_bits=None, dtype=np.float32
+            fpv_stack, [0, 1], activation_bits=None, precision="float32"
         )
         logits = engine.predict(model, test_x)
         assert logits.dtype == np.float32
@@ -399,6 +399,20 @@ class TestChunkingAndDtype:
         )
         assert serial.accuracies == parallel.accuracies
 
+    def test_float32_policy_reaches_pool_workers(self, trained_compact_lenet, fpv_stack):
+        model, test_x, test_y = trained_compact_lenet
+        kwargs = dict(seeds=5, activation_bits=8, precision="float32")
+        serial = monte_carlo_accuracy(model, test_x, test_y, fpv_stack, **kwargs)
+        parallel = monte_carlo_accuracy(
+            model, test_x, test_y, fpv_stack, n_workers=2, **kwargs
+        )
+        exact = monte_carlo_accuracy(
+            model, test_x, test_y, fpv_stack, seeds=5, activation_bits=8
+        )
+        assert parallel.records == serial.records
+        # The workers really ran float32: the accuracies move off float64's.
+        assert parallel.accuracies != exact.accuracies
+
 
 class TestEngineValidation:
     def test_stack_and_seed_counts_must_match(self, fpv_stack):
@@ -421,7 +435,7 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             EnsembleInferenceEngine(fpv_stack, seeds=[])
         with pytest.raises(ValueError):
-            EnsembleInferenceEngine(fpv_stack, seeds=2, dtype=np.int32)
+            EnsembleInferenceEngine(fpv_stack, seeds=2, precision=np.int32)
 
     def test_layer_ensemble_shape_validation(self, rng):
         dense = Dense(4, 3, rng=rng)

@@ -14,7 +14,8 @@ Also covered:
   matched ``B``/``E`` per thread, matched ``b``/``e`` per ``(cat, id)``,
   non-negative ``X`` durations) for both hand-built and runtime traces;
 * the wall-clock loop profiler and its instrumented event queue;
-* the cache satellite: ``global_cache_stats`` as a registry view;
+* the cache satellite: the registry's ``cache.*`` samples agree with
+  ``iter_cache_infos``;
 * the study layer: registry-backed envelope accounting, embedded metrics
   snapshots, and the CLI's ``--trace``/``--metrics``/``--profile`` flags.
 """
@@ -50,7 +51,7 @@ from repro.serve import (
 from repro.sim.sweep import SweepExecutor, run_sweep
 from repro.study.cli import main as cli_main
 from repro.study.runner import StudyRunner
-from repro.utils.cache import global_cache_stats, iter_cache_infos, memoize
+from repro.utils.cache import iter_cache_infos, memoize
 
 
 @pytest.fixture(scope="module")
@@ -243,11 +244,10 @@ class TestCacheBridge:
         }
         assert by_name[("cache.hits", name)] == 1
         assert by_name[("cache.misses", name)] == 2
+        assert by_name[("cache.size", name)] == 2
 
-        stats = global_cache_stats()
-        assert stats[name].hits == 1
-        assert stats[name].misses == 2
-        assert stats[name].currsize == 2
+        info = dict(iter_cache_infos())[name]
+        assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
 
 
 # --------------------------------------------------------------------------- #
