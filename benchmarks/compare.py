@@ -19,13 +19,15 @@ Usage::
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json=BENCH_PR6.json
     python benchmarks/compare.py BENCH_PR6.json                # check
     python benchmarks/compare.py BENCH_PR6.json --update       # refresh baseline
+
+``--update`` stores the run slimmed: the raw per-round ``stats.data`` arrays
+are dropped (only ``stats.mean`` is compared), so the baseline stays small.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import statistics
 import sys
 from pathlib import Path
@@ -87,6 +89,13 @@ def load_means(path: Path) -> dict[str, float]:
     return means
 
 
+def slim(payload: dict) -> dict:
+    """``payload`` without the raw per-round samples of each benchmark."""
+    for entry in payload.get("benchmarks", []):
+        (entry.get("stats") or {}).pop("data", None)
+    return payload
+
+
 def compare(
     current: dict[str, float], baseline: dict[str, float], threshold: float
 ) -> tuple[list[tuple[str, float, float, float]], float]:
@@ -122,12 +131,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--update", action="store_true",
-        help="copy the current run over the baseline instead of comparing",
+        help="write the current run, slimmed, over the baseline instead of comparing",
     )
     args = parser.parse_args(argv)
 
     if args.update:
-        shutil.copyfile(args.current, args.baseline)
+        payload = slim(json.loads(args.current.read_text()))
+        args.baseline.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"baseline updated: {args.baseline}")
         return 0
 

@@ -60,10 +60,13 @@ class Observability:
     """An optional bundle of the three pillars, threaded through the stack.
 
     Every field may independently be ``None`` (that pillar disabled).  The
-    convention at instrumentation sites is a plain attribute guard --
-    ``if obs is not None and obs.tracer is not None: ...`` -- so a
-    disabled pillar costs one comparison, and ``obs=None`` (the default
-    everywhere) costs nothing on any hot path.
+    sweep and study layers guard each instrumentation site with a plain
+    attribute test -- ``if obs is not None and obs.tracer is not None:
+    ...`` -- so a disabled pillar costs one comparison.  The serving loop
+    has no such sites: its metrics and trace are projected from the
+    finished :class:`~repro.serve.metrics.ServingReport` after the loop,
+    and only the profiler, which times the handlers, runs inside it.
+    ``obs=None`` (the default everywhere) costs nothing on any hot path.
     """
 
     metrics: MetricsRegistry | None = None

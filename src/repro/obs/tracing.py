@@ -18,10 +18,8 @@ structure* (dot-product shapes) from DNN models -- this module records
 
 Event phases used (the schema test pins exactly these):
 
-* ``X`` -- complete span (``ts`` + ``dur``), e.g. one batch execution;
-* ``B``/``E`` -- nested begin/end spans on one thread, e.g. a throttle
-  episode; every ``B`` is closed by :meth:`Tracer.end` or, for spans still
-  open at the horizon (a drained worker), by :meth:`Tracer.close_open`;
+* ``X`` -- complete span (``ts`` + ``dur``), e.g. one batch execution or
+  one throttle/downtime episode;
 * ``b``/``e`` -- nestable async spans correlated by ``(cat, id)`` across
   threads, used for request lifetimes;
 * ``i`` -- instant events (faults, sheds, retries);
@@ -65,9 +63,6 @@ class Tracer:
         self._next_pid = 1
         self._pids: dict[str, int] = {}
         self._wall_epoch: float | None = None
-        # Open B spans per (pid, tid), so unclosed spans (a drained worker's
-        # downtime) can be terminated at the horizon with matching E events.
-        self._open: dict[tuple[int, int], list[str]] = {}
 
     def __len__(self) -> int:
         return len(self._events) + len(self._meta)
@@ -137,41 +132,6 @@ class Tracer:
         if args:
             event["args"] = args
         self._events.append(event)
-
-    def begin(
-        self, ts_s: float, name: str, pid: int, tid: int,
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        """Open a nested ``B`` span on ``(pid, tid)``."""
-        event = {"name": name, "ph": "B", "ts": ts_s * _US, "pid": pid, "tid": tid}
-        if args:
-            event["args"] = args
-        self._events.append(event)
-        self._open.setdefault((pid, tid), []).append(name)
-
-    def end(self, ts_s: float, pid: int, tid: int) -> None:
-        """Close the innermost open ``B`` span on ``(pid, tid)``."""
-        stack = self._open.get((pid, tid))
-        if not stack:
-            raise RuntimeError(f"no open span to end on pid={pid} tid={tid}")
-        name = stack.pop()
-        self._events.append(
-            {"name": name, "ph": "E", "ts": ts_s * _US, "pid": pid, "tid": tid}
-        )
-
-    def close_open(self, ts_s: float) -> int:
-        """Close every still-open ``B`` span at ``ts_s`` (horizon cleanup).
-
-        Returns the number of spans closed.  Keeps the B/E invariant the
-        schema test asserts even for states that never end inside the run
-        (a drained worker's downtime, a throttle crossing the horizon).
-        """
-        closed = 0
-        for (pid, tid), stack in sorted(self._open.items()):
-            while stack:
-                self.end(ts_s, pid, tid)
-                closed += 1
-        return closed
 
     def instant(
         self,

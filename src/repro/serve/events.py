@@ -39,6 +39,8 @@ class TraceEvent(tuple):
     * ``"throttle_end"`` -- ``(worker_id,)``
     * ``"batch_lost"`` -- ``(batch_id, worker_id, batch_size)``
     * ``"retry"`` -- ``(request_id, attempt)`` (the attempt that was lost)
+    * ``"readmit"`` -- ``(request_id,)`` (a retry re-entering its queue
+      after a non-zero backoff; zero-backoff retries re-enter at ``"retry"``)
     * ``"failed"`` -- ``(request_id, attempts)`` (total attempts consumed)
     """
 
@@ -56,6 +58,7 @@ class TraceEvent(tuple):
             "throttle_end",
             "batch_lost",
             "retry",
+            "readmit",
             "failed",
         }
     )
@@ -64,6 +67,10 @@ class TraceEvent(tuple):
         if kind not in cls.KINDS:
             raise ValueError(f"unknown trace-event kind {kind!r}")
         return super().__new__(cls, (float(time_s), kind, *ids))
+
+    def __getnewargs__(self) -> tuple:
+        # pickle and copy rebuild the entry through __new__(*self).
+        return tuple(self)
 
     @property
     def time_s(self) -> float:

@@ -150,13 +150,13 @@ class ServingRuntime:
         :class:`~repro.serve.faults.RetryPolicy` defaults).  Only consulted
         when faults are active.
     obs:
-        Optional :class:`~repro.obs.Observability` bundle.  Whatever subset
-        of its pillars is enabled, instrumentation is strictly read-only:
-        metrics count what the loop did, the tracer maps the run onto a
-        Perfetto timeline (simulated seconds = trace microseconds; one
-        "thread" per worker), and the profiler measures the wall-clock
-        handler costs.  Byte-identity of the report and event trace with
-        an un-observed run is asserted by tests.
+        Optional :class:`~repro.obs.Observability` bundle.  The handlers
+        write only the run record (event trace and report); the
+        ``serve.runtime.*`` metrics and the Perfetto timeline (simulated
+        seconds = trace microseconds; one "thread" per worker) are
+        projected from the finished report after the loop, so they cannot
+        change a simulated result.  The profiler is the one pillar inside
+        the loop: it times each handler on the wall clock.
     """
 
     def __init__(
@@ -255,7 +255,6 @@ class ServingRuntime:
         self._lost_batches: set[int] = set()
         self._attempts: dict[int, int] = {}
         self._retried: set[int] = set()
-        self._bind_obs(traffic_description)
 
         for request in requests:
             if request.model not in self._batchers:
@@ -313,8 +312,7 @@ class ServingRuntime:
             if len(set(worker_power_w)) == 1
             else sum(worker_power_w) / len(worker_power_w)
         )
-        self._finalize_obs(horizon_s, events_processed, wall_time_s)
-        return metrics.finalize(
+        report = metrics.finalize(
             accelerator=self.accelerator.name,
             models=tuple(self._batchers),
             traffic=traffic_description,
@@ -337,117 +335,9 @@ class ServingRuntime:
             events_processed=events_processed,
             wall_time_s=wall_time_s,
         )
-
-    # ------------------------------------------------------------------ #
-    # Observability plumbing (read-only; every hook is attribute-guarded
-    # so the disabled path costs one ``is not None`` test per site)
-    # ------------------------------------------------------------------ #
-    def _bind_obs(self, traffic_description: str) -> None:
-        """Bind per-run instrument references (all ``None`` when disabled)."""
-        obs = self.obs
-        registry = obs.metrics if obs is not None else None
-        self._tracer = obs.tracer if obs is not None else None
-        if registry is not None:
-            labels = obs.label(accelerator=self.accelerator.name)
-            self._m_arrivals = registry.counter(
-                "serve.runtime.arrivals", labels, help="requests offered"
-            )
-            self._m_shed = registry.counter(
-                "serve.runtime.shed", labels, help="requests rejected by admission"
-            )
-            self._m_completed = registry.counter(
-                "serve.runtime.completed", labels, help="requests served"
-            )
-            self._m_batches = registry.counter(
-                "serve.runtime.batches", labels, help="batches completed"
-            )
-            self._m_retries = registry.counter(
-                "serve.runtime.retries", labels, help="crash-lost requests requeued"
-            )
-            self._m_failures = registry.counter(
-                "serve.runtime.failures", labels, help="requests terminally failed"
-            )
-            self._m_lost = registry.counter(
-                "serve.runtime.lost_batches", labels, help="batches lost to crashes"
-            )
-            self._m_latency = registry.histogram(
-                "serve.runtime.latency_s", labels,
-                help="end-to-end request latency (simulated seconds)",
-            )
-            self._m_queue_wait = registry.histogram(
-                "serve.runtime.queue_wait_s", labels,
-                help="admission-queue wait before dispatch (simulated seconds)",
-            )
-            self._m_depth = {
-                name: registry.gauge(
-                    "serve.runtime.queue_depth", {**labels, "model": name},
-                    help="requests waiting in the model's admission queue",
-                )
-                for name in self._batchers
-            }
-        else:
-            self._m_arrivals = self._m_shed = self._m_completed = None
-            self._m_batches = self._m_retries = self._m_failures = None
-            self._m_lost = self._m_latency = self._m_queue_wait = None
-            self._m_depth = None
-        if self._tracer is not None:
-            self._trace_pid = self._tracer.new_process(
-                f"serve {self.accelerator.name} x{len(self.pool)}: "
-                f"{traffic_description}"
-            )
-            self._tracer.thread_name(self._trace_pid, 0, "runtime")
-            for worker in self.pool.workers:
-                self._tracer.thread_name(
-                    self._trace_pid, worker.worker_id + 1,
-                    f"worker-{worker.worker_id}",
-                )
-            # Open availability episodes, closed by the matching end event
-            # or at the horizon.  Emitted as X spans at close time (never
-            # B/E): crash-during-throttle interleavings are not properly
-            # nested, which a per-thread B/E stack cannot represent.
-            self._trace_throttle: dict[int, tuple[float, float]] = {}
-            self._trace_down: dict[int, tuple[float, str]] = {}
-
-    def _trace_queue_depth(self, now_s: float, batcher) -> None:
-        self._tracer.counter(
-            now_s, f"queue:{batcher.model}", self._trace_pid, 0,
-            {"depth": batcher.depth},
-        )
-
-    def _finalize_obs(
-        self, horizon_s: float, events_processed: int, wall_time_s: float
-    ) -> None:
-        """Close open trace episodes and record the run-level metrics."""
-        tracer = self._tracer
-        if tracer is not None:
-            for worker_id, (start_s, derate) in sorted(self._trace_throttle.items()):
-                tracer.complete(
-                    start_s, max(horizon_s, start_s) - start_s,
-                    f"throttle x{derate:g}", self._trace_pid, worker_id + 1,
-                )
-            for worker_id, (start_s, cause) in sorted(self._trace_down.items()):
-                tracer.complete(
-                    start_s, max(horizon_s, start_s) - start_s,
-                    f"down ({cause})", self._trace_pid, worker_id + 1,
-                )
-            self._trace_throttle.clear()
-            self._trace_down.clear()
-        obs = self.obs
-        registry = obs.metrics if obs is not None else None
-        if registry is not None:
-            labels = obs.label(accelerator=self.accelerator.name)
-            registry.counter(
-                "serve.runtime.events_processed", labels,
-                help="discrete events the loop processed",
-            ).inc(events_processed)
-            registry.gauge(
-                "serve.runtime.wall_time_s", labels,
-                help="wall-clock seconds the event loop took",
-            ).inc(wall_time_s)
-            registry.gauge(
-                "serve.runtime.peak_queue_depth", labels,
-                help="deepest any admission queue got",
-            ).set(max(batcher.peak_depth for batcher in self._batchers.values()))
+        if self.obs is not None:
+            _observe(self.obs, report, requests, self.retry.backoff_s)
+        return report
 
     # ------------------------------------------------------------------ #
     # Handlers
@@ -477,25 +367,12 @@ class ServingRuntime:
 
     def _handle_arrival(self, request, clock, queue, metrics, trace) -> None:
         metrics.record_arrival(request)
-        if self._m_arrivals is not None:
-            self._m_arrivals.inc()
         batcher = self._batchers[request.model]
         if not batcher.offer(request, clock.now_s):
             metrics.record_shed(request)
             trace.append(TraceEvent(clock.now_s, "shed", request.request_id))
-            if self._m_shed is not None:
-                self._m_shed.inc()
-            if self._tracer is not None:
-                self._tracer.instant(
-                    clock.now_s, "shed", self._trace_pid, 0,
-                    args={"request": request.request_id, "model": request.model},
-                )
             return
         trace.append(TraceEvent(clock.now_s, "arrival", request.request_id))
-        if self._m_depth is not None:
-            self._m_depth[request.model].set(batcher.depth)
-        if self._tracer is not None:
-            self._trace_queue_depth(clock.now_s, batcher)
         if batcher.head is request:
             # New queue head: arm its max-wait deadline wake-up.
             queue.push(
@@ -531,34 +408,6 @@ class ServingRuntime:
         self.pool.workers[batch.worker_id].record_completion(batch.latency_s, batch.size)
         self._last_completion_s = clock.now_s
         trace.append(TraceEvent(clock.now_s, "complete", batch.batch_id))
-        if self._m_batches is not None:
-            self._m_batches.inc()
-            self._m_completed.inc(batch.size)
-            for request in batch.requests:
-                self._m_latency.observe(batch.completion_s - request.arrival_s)
-                self._m_queue_wait.observe(batch.dispatch_s - request.arrival_s)
-        if self._tracer is not None:
-            # The batch's true extent is only known now, so its worker-lane
-            # span and its requests' queue/service async spans land here.
-            tid = batch.worker_id + 1
-            self._tracer.complete(
-                batch.dispatch_s, batch.latency_s,
-                f"{batch.model} x{batch.size}", self._trace_pid, tid,
-                args={
-                    "batch": batch.batch_id,
-                    "deadline_triggered": batch.deadline_triggered,
-                    "energy_j": batch.energy_j,
-                },
-            )
-            for request in batch.requests:
-                self._tracer.async_span(
-                    request.arrival_s, batch.dispatch_s, "queue", "request",
-                    request.request_id, self._trace_pid,
-                )
-                self._tracer.async_span(
-                    batch.dispatch_s, batch.completion_s, "service", "request",
-                    request.request_id, self._trace_pid, tid,
-                )
         functional = self.functional.get(batch.model)
         if functional is not None:
             model, inputs = functional
@@ -589,18 +438,6 @@ class ServingRuntime:
         trace.append(
             TraceEvent(clock.now_s, "worker_down", event.worker_id, event.cause)
         )
-        if self._tracer is not None:
-            tid = event.worker_id + 1
-            # mark_down just cancelled any throttle episode; close its span.
-            episode = self._trace_throttle.pop(event.worker_id, None)
-            if episode is not None:
-                start_s, derate = episode
-                self._tracer.complete(
-                    start_s, clock.now_s - start_s, f"throttle x{derate:g}",
-                    self._trace_pid, tid,
-                )
-            self._trace_down[event.worker_id] = (clock.now_s, event.cause)
-            self._tracer.instant(clock.now_s, event.cause, self._trace_pid, tid)
         batch = self._in_flight.pop(event.worker_id, None)
         if batch is None:
             return
@@ -620,15 +457,6 @@ class ServingRuntime:
                 clock.now_s, "batch_lost", batch.batch_id, worker.worker_id, batch.size
             )
         )
-        if self._m_lost is not None:
-            self._m_lost.inc()
-        if self._tracer is not None:
-            self._tracer.complete(
-                batch.dispatch_s, elapsed_s,
-                f"{batch.model} x{batch.size} (lost)",
-                self._trace_pid, worker.worker_id + 1,
-                args={"batch": batch.batch_id},
-            )
         self._retry_or_fail(batch, clock, queue, metrics, trace)
         # Every synchronous retry is back in its queue now; a survivor may
         # be idle, and a re-formed full batch must not wait for a deadline.
@@ -639,14 +467,6 @@ class ServingRuntime:
         if worker.state != "down" or not worker.mark_up(clock.now_s):
             return  # stale repair: the worker was drained in the meantime
         trace.append(TraceEvent(clock.now_s, "worker_up", event.worker_id))
-        if self._tracer is not None:
-            episode = self._trace_down.pop(event.worker_id, None)
-            if episode is not None:
-                start_s, cause = episode
-                self._tracer.complete(
-                    start_s, clock.now_s - start_s, f"down ({cause})",
-                    self._trace_pid, event.worker_id + 1,
-                )
         self._dispatch_ready(clock, queue, trace)
 
     def _handle_throttle_start(self, event, clock, trace) -> None:
@@ -657,21 +477,11 @@ class ServingRuntime:
                     clock.now_s, "throttle_start", event.worker_id, event.derate
                 )
             )
-            if self._tracer is not None:
-                self._trace_throttle[event.worker_id] = (clock.now_s, event.derate)
 
     def _handle_throttle_end(self, event, clock, trace) -> None:
         worker = self.pool.workers[event.worker_id]
         if worker.unthrottle(event.episode):
             trace.append(TraceEvent(clock.now_s, "throttle_end", event.worker_id))
-            if self._tracer is not None:
-                episode = self._trace_throttle.pop(event.worker_id, None)
-                if episode is not None:
-                    start_s, derate = episode
-                    self._tracer.complete(
-                        start_s, clock.now_s - start_s, f"throttle x{derate:g}",
-                        self._trace_pid, event.worker_id + 1,
-                    )
 
     def _handle_retry(self, event, clock, queue, trace) -> None:
         # Re-admission after backoff.  A *due* head waits for the deadline
@@ -682,6 +492,7 @@ class ServingRuntime:
         # A re-formed *full* batch, however, dispatches immediately: full
         # batches never wait, and no deadline wake-up would catch one whose
         # head is not yet due.
+        trace.append(TraceEvent(clock.now_s, "readmit", event.request.request_id))
         self._requeue_front(event.request, clock, queue)
         if self._batchers[event.request.model].has_full_batch():
             self._dispatch_ready(clock, queue, trace)
@@ -701,26 +512,12 @@ class ServingRuntime:
                 trace.append(
                     TraceEvent(clock.now_s, "failed", request.request_id, attempts)
                 )
-                if self._m_failures is not None:
-                    self._m_failures.inc()
-                if self._tracer is not None:
-                    self._tracer.instant(
-                        clock.now_s, "failed", self._trace_pid, 0,
-                        args={"request": request.request_id, "attempts": attempts},
-                    )
                 continue
             metrics.record_retry(request)
             self._retried.add(request.request_id)
             trace.append(
                 TraceEvent(clock.now_s, "retry", request.request_id, attempts)
             )
-            if self._m_retries is not None:
-                self._m_retries.inc()
-            if self._tracer is not None:
-                self._tracer.instant(
-                    clock.now_s, "retry", self._trace_pid, 0,
-                    args={"request": request.request_id, "attempts": attempts},
-                )
             if backoff_s > 0:
                 queue.push(
                     clock.now_s + backoff_s, RETRY_PRIORITY, RetryEvent(request)
@@ -731,10 +528,6 @@ class ServingRuntime:
     def _requeue_front(self, request, clock, queue) -> None:
         batcher = self._batchers[request.model]
         batcher.requeue_front(request)
-        if self._m_depth is not None:
-            self._m_depth[request.model].set(batcher.depth)
-        if self._tracer is not None:
-            self._trace_queue_depth(clock.now_s, batcher)
         # The retried request is the new queue head and its original
         # max-wait deadline is long past, so the wake-up fires "now" --
         # giving it (and everything queued behind it) immediate dispatch
@@ -770,10 +563,6 @@ class ServingRuntime:
     def _dispatch_batch(self, batcher, worker, clock, queue, trace) -> None:
         now = clock.now_s
         requests, deadline_triggered = batcher.pop_batch(now)
-        if self._m_depth is not None:
-            self._m_depth[batcher.model].set(batcher.depth)
-        if self._tracer is not None:
-            self._trace_queue_depth(now, batcher)
         latency_s = self.pool.batch_latency_s(worker, batcher.model, len(requests))
         if worker.derate != 1.0:
             # Thermal throttle: the episode's derate is priced into batches
@@ -813,6 +602,159 @@ class ServingRuntime:
                 DEADLINE_PRIORITY,
                 DeadlineEvent(batcher.model, head.request_id),
             )
+
+
+def _observe(
+    obs: "Observability",
+    report: ServingReport,
+    requests: list[Request],
+    backoff_s: float,
+) -> None:
+    """Project a finished run onto ``obs``'s metrics registry and tracer.
+
+    The metrics and the Perfetto trace are pure functions of the report and
+    the served requests, so enabling them cannot change a simulated result.
+    One pass over ``report.event_trace`` replays each model's queue depth
+    (an admitted arrival, a zero-backoff ``retry`` and a ``readmit`` add
+    one; a dispatch removes its batch) and emits every trace event at the
+    entry that produced it, so the export's ``(ts, emission order)`` sort
+    reproduces the loop's own order.  Simulated seconds are the trace
+    timebase; the runtime is thread 0 and worker ``w`` is thread ``w + 1``.
+
+    Throttle and downtime episodes are emitted as ``X`` spans when they
+    close (at the matching end event, or at the horizon): a crash during a
+    throttle interleaves the two, which nested ``B``/``E`` spans on one
+    thread cannot represent.
+    """
+    models = {request.request_id: request.model for request in requests}
+    depth = dict.fromkeys(report.models, 0)
+    tracer = obs.tracer
+    if tracer is not None:
+        pid = tracer.new_process(
+            f"serve {report.accelerator} x{report.n_workers}: {report.traffic}"
+        )
+        tracer.thread_name(pid, 0, "runtime")
+        for worker_id in range(report.n_workers):
+            tracer.thread_name(pid, worker_id + 1, f"worker-{worker_id}")
+        batches = {batch.batch_id: batch for batch in report.batches}
+        dispatched: dict[int, tuple[float, str]] = {}
+        throttled: dict[int, tuple[float, float]] = {}
+        down: dict[int, tuple[float, str]] = {}
+    for now_s, kind, *ids in report.event_trace:
+        model = None
+        if kind == "dispatch":
+            model = ids[3]
+            depth[model] -= ids[2]
+        elif kind in ("arrival", "readmit") or (kind == "retry" and backoff_s == 0):
+            model = models[ids[0]]
+            depth[model] += 1
+        if tracer is None:
+            continue
+        if kind == "shed":
+            tracer.instant(
+                now_s, kind, pid, 0, args={"request": ids[0], "model": models[ids[0]]}
+            )
+        elif kind in ("retry", "failed"):
+            tracer.instant(
+                now_s, kind, pid, 0, args={"request": ids[0], "attempts": ids[1]}
+            )
+        elif kind == "dispatch":
+            dispatched[ids[0]] = (now_s, model)
+        elif kind == "complete":
+            batch = batches[ids[0]]
+            tid = batch.worker_id + 1
+            tracer.complete(
+                batch.dispatch_s, batch.latency_s,
+                f"{batch.model} x{batch.size}", pid, tid,
+                args={
+                    "batch": batch.batch_id,
+                    "deadline_triggered": batch.deadline_triggered,
+                    "energy_j": batch.energy_j,
+                },
+            )
+            for request in batch.requests:
+                tracer.async_span(
+                    request.arrival_s, batch.dispatch_s, "queue", "request",
+                    request.request_id, pid,
+                )
+                tracer.async_span(
+                    batch.dispatch_s, batch.completion_s, "service", "request",
+                    request.request_id, pid, tid,
+                )
+        elif kind == "batch_lost":
+            batch_id, worker_id, size = ids
+            dispatch_s, batch_model = dispatched[batch_id]
+            tracer.complete(
+                dispatch_s, now_s - dispatch_s, f"{batch_model} x{size} (lost)",
+                pid, worker_id + 1, args={"batch": batch_id},
+            )
+        elif kind == "throttle_start":
+            throttled[ids[0]] = (now_s, ids[1])
+        elif kind in ("throttle_end", "worker_down"):
+            # A crash cancels the worker's throttle episode too.
+            episode = throttled.pop(ids[0], None)
+            if episode is not None:
+                start_s, derate = episode
+                tracer.complete(
+                    start_s, now_s - start_s, f"throttle x{derate:g}", pid, ids[0] + 1
+                )
+            if kind == "worker_down":
+                down[ids[0]] = (now_s, ids[1])
+                tracer.instant(now_s, ids[1], pid, ids[0] + 1)
+        elif kind == "worker_up":
+            start_s, cause = down.pop(ids[0])
+            tracer.complete(start_s, now_s - start_s, f"down ({cause})", pid, ids[0] + 1)
+        if model is not None:
+            tracer.counter(now_s, f"queue:{model}", pid, 0, {"depth": depth[model]})
+    if tracer is not None:
+        horizon_s = report.horizon_s
+        for episodes, label in ((throttled, "throttle x{:g}"), (down, "down ({})")):
+            for worker_id, (start_s, detail) in sorted(episodes.items()):
+                tracer.complete(
+                    start_s, max(horizon_s, start_s) - start_s,
+                    label.format(detail), pid, worker_id + 1,
+                )
+
+    registry = obs.metrics
+    if registry is None:
+        return
+    labels = obs.label(accelerator=report.accelerator)
+    for name, value, description in (
+        ("arrivals", report.n_arrivals, "requests offered"),
+        ("shed", report.n_shed, "requests rejected by admission"),
+        ("completed", report.n_completed, "requests served"),
+        ("batches", len(report.batches), "batches completed"),
+        ("retries", report.n_retries, "crash-lost requests requeued"),
+        ("failures", report.n_failed, "requests terminally failed"),
+        ("lost_batches", report.n_lost_batches, "batches lost to crashes"),
+        ("events_processed", report.events_processed,
+         "discrete events the loop processed"),
+    ):
+        registry.counter(f"serve.runtime.{name}", labels, help=description).inc(value)
+    latency = registry.histogram(
+        "serve.runtime.latency_s", labels,
+        help="end-to-end request latency (simulated seconds)",
+    )
+    queue_wait = registry.histogram(
+        "serve.runtime.queue_wait_s", labels,
+        help="admission-queue wait before dispatch (simulated seconds)",
+    )
+    for record in report.requests:
+        latency.observe(record.latency_s)
+        queue_wait.observe(record.queue_wait_s)
+    for model, final_depth in depth.items():
+        registry.gauge(
+            "serve.runtime.queue_depth", {**labels, "model": model},
+            help="requests waiting in the model's admission queue",
+        ).set(final_depth)
+    registry.gauge(
+        "serve.runtime.wall_time_s", labels,
+        help="wall-clock seconds the event loop took",
+    ).inc(report.wall_time_s)
+    registry.gauge(
+        "serve.runtime.peak_queue_depth", labels,
+        help="deepest any admission queue got",
+    ).set(report.peak_queue_depth)
 
 
 def serve_trace(

@@ -11,8 +11,8 @@ Also covered:
 * the metrics substrate (counters/gauges/log-bucket histograms, kind
   conflicts, sorted deterministic exports, Prometheus text exposition);
 * Chrome trace-event schema validity (required keys, monotonic ``ts``,
-  matched ``B``/``E`` per thread, matched ``b``/``e`` per ``(cat, id)``,
-  non-negative ``X`` durations) for both hand-built and runtime traces;
+  matched ``b``/``e`` per ``(cat, id)``, non-negative ``X`` durations)
+  for both hand-built and runtime traces;
 * the wall-clock loop profiler and its instrumented event queue;
 * the cache satellite: the registry's ``cache.*`` samples agree with
   ``iter_cache_infos``;
@@ -73,7 +73,6 @@ def validate_chrome_trace(trace: dict) -> None:
     events = trace["traceEvents"]
     assert isinstance(events, list)
 
-    open_sync: dict[tuple, list[str]] = {}
     open_async: dict[tuple, int] = {}
     last_ts = -math.inf
     seen_payload = False
@@ -91,14 +90,6 @@ def validate_chrome_trace(trace: dict) -> None:
         last_ts = ts
         if ph == "X":
             assert event["dur"] >= 0.0
-        elif ph == "B":
-            open_sync.setdefault((event["pid"], event["tid"]), []).append(
-                event["name"]
-            )
-        elif ph == "E":
-            stack = open_sync.get((event["pid"], event["tid"]))
-            assert stack, f"E without B on {event['pid']}/{event['tid']}"
-            stack.pop()
         elif ph == "b":
             key = (event["cat"], event["id"])
             open_async[key] = open_async.get(key, 0) + 1
@@ -112,7 +103,6 @@ def validate_chrome_trace(trace: dict) -> None:
             assert isinstance(event["args"], dict)
         else:
             raise AssertionError(f"unexpected phase {ph!r}")
-    assert all(not stack for stack in open_sync.values()), open_sync
     assert all(n == 0 for n in open_async.values()), open_async
 
 
@@ -258,10 +248,6 @@ class TestTracer:
         tracer = Tracer()
         pid = tracer.new_process("test")
         tracer.thread_name(pid, 0, "main")
-        tracer.begin(0.0, "outer", pid, 0)
-        tracer.begin(1.0, "inner", pid, 0)
-        tracer.end(2.0, pid, 0)
-        tracer.end(3.0, pid, 0)
         tracer.complete(0.5, 0.25, "span", pid, 1, args={"k": 1})
         tracer.instant(0.75, "blip", pid, 1)
         tracer.counter(0.1, "depth", pid, 0, {"queue": 3})
@@ -275,20 +261,6 @@ class TestTracer:
         tracer.complete(1.0, 1.0, "early", pid, 0)
         events = [e for e in tracer.to_dict()["traceEvents"] if e["ph"] == "X"]
         assert [e["name"] for e in events] == ["early", "late"]
-
-    def test_end_without_begin_raises(self):
-        tracer = Tracer()
-        pid = tracer.new_process("p")
-        with pytest.raises(RuntimeError, match="no open span"):
-            tracer.end(1.0, pid, 0)
-
-    def test_close_open_closes_everything(self):
-        tracer = Tracer()
-        pid = tracer.new_process("p")
-        tracer.begin(0.0, "a", pid, 0)
-        tracer.begin(0.5, "b", pid, 1)
-        assert tracer.close_open(2.0) == 2
-        validate_chrome_trace(tracer.to_dict())
 
     def test_process_memoizes_new_process_does_not(self):
         tracer = Tracer()
@@ -363,12 +335,13 @@ FAULTY = FaultModel(
 
 class TestByteIdentity:
     @staticmethod
-    def _run(lenet, crosslight, seed, rate_rps, n_workers, faults, obs):
+    def _run(lenet, crosslight, seed, rate_rps, n_workers, faults, obs, backoff_s=0.0):
         traffic = PoissonTraffic(rate_rps=rate_rps, duration_s=0.004)
         policy = BatchPolicy(max_batch_size=8, max_wait_s=100e-6, max_queue_depth=64)
         return serve_trace(
             lenet, crosslight, traffic, policy, n_workers=n_workers, seed=seed,
-            faults=faults, retry=RetryPolicy() if faults is not None else None,
+            faults=faults,
+            retry=RetryPolicy(backoff_s=backoff_s) if faults is not None else None,
             obs=obs,
         )
 
@@ -377,15 +350,17 @@ class TestByteIdentity:
         rate_rps=st.sampled_from([40_000.0, 120_000.0]),
         n_workers=st.integers(min_value=1, max_value=3),
         faulty=st.booleans(),
+        backoff_s=st.sampled_from([0.0, 30e-6]),
     )
     @settings(max_examples=12, deadline=None)
     def test_obs_on_equals_obs_off(
-        self, lenet, crosslight, seed, rate_rps, n_workers, faulty
+        self, lenet, crosslight, seed, rate_rps, n_workers, faulty, backoff_s
     ):
         faults = FAULTY if faulty else None
-        plain = self._run(lenet, crosslight, seed, rate_rps, n_workers, faults, None)
+        args = (lenet, crosslight, seed, rate_rps, n_workers, faults)
+        plain = self._run(*args, None, backoff_s)
         obs = Observability.enabled(profiler=True)
-        observed = self._run(lenet, crosslight, seed, rate_rps, n_workers, faults, obs)
+        observed = self._run(*args, obs, backoff_s)
         assert observed == plain
         assert observed.event_trace == plain.event_trace
         assert observed.summary() == plain.summary()

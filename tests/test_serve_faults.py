@@ -14,10 +14,15 @@ Covers the robustness contract of :mod:`repro.serve.faults`:
   on the survivors, and terminally fails them once attempts are exhausted;
 * thermal throttling prices dispatches at the derate; downtime intervals
   clamp to the horizon; drains are permanent against stale repairs;
-* :class:`TraceEvent` entries stay backward-readable as plain tuples.
+* :class:`TraceEvent` entries stay backward-readable as plain tuples, and
+  reports (event trace included) survive pickle and ``copy.deepcopy``;
+* with a retry backoff, each re-admission leaves one ``readmit`` entry.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -410,6 +415,40 @@ class TestContracts:
         )
         assert all(isinstance(event, tuple) for event in report.event_trace)
         assert list(report.event_trace) == [tuple(e) for e in report.event_trace]
+
+    @staticmethod
+    def _faulty(lenet, crosslight, backoff_s):
+        return serve_trace(
+            lenet,
+            crosslight,
+            PoissonTraffic(rate_rps=150_000.0, duration_s=0.01),
+            BatchPolicy(max_batch_size=8, max_wait_s=100e-6),
+            n_workers=2,
+            seed=2,
+            faults=FaultModel(crash_mtbf_s=0.002, repair_mttr_s=0.001),
+            retry=RetryPolicy(backoff_s=backoff_s),
+        )
+
+    def test_report_pickles_and_deep_copies(self, lenet, crosslight):
+        report = self._faulty(lenet, crosslight, backoff_s=30e-6)
+        assert report.n_retries > 0
+        event = TraceEvent(1.0, "arrival", 3)
+        assert pickle.loads(pickle.dumps(event)) == event
+        assert copy.deepcopy(event) == event
+        for clone in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert clone == report
+            assert clone.event_trace == report.event_trace
+            assert all(isinstance(e, TraceEvent) for e in clone.event_trace)
+
+    @pytest.mark.parametrize("backoff_s", [0.0, 30e-6], ids=["sync", "backoff"])
+    def test_readmits_pair_with_backoff_retries(self, lenet, crosslight, backoff_s):
+        report = self._faulty(lenet, crosslight, backoff_s)
+        retries = [e.ids[0] for e in report.event_trace if e.kind == "retry"]
+        readmits = [e.ids[0] for e in report.event_trace if e.kind == "readmit"]
+        assert len(retries) == report.n_retries > 0
+        # Zero-backoff retries re-enter at the crash instant; only a delayed
+        # re-admission gets its own entry, exactly one per retry (drained).
+        assert readmits == ([] if backoff_s == 0 else retries)
 
     def test_requests_from_traffic_rejects_window_edge(self):
         class EdgeTraffic(PoissonTraffic):
