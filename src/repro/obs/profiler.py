@@ -1,13 +1,15 @@
 """Wall-clock event-loop profiler: where does the serving hot path spend time?
 
-ROADMAP item 1 wants the event loop rewritten for ~1e6+ events/sec; this
-module produces the data that justifies (and later validates) that rewrite.
-A :class:`LoopProfiler` measures the *wall-clock* cost of the discrete-event
+ROADMAP item 3 wants the event loop made several times faster; this module
+produces the data that justifies (and later validates) that work.  A
+:class:`LoopProfiler` measures the *wall-clock* cost of the discrete-event
 machinery itself:
 
 * per-event-kind handler timing -- one fixed-log-bucket histogram per
-  payload type (``ArrivalEvent``, ``CompletionEvent``, ...), so the profile
-  says which handler dominates;
+  payload type (``CompletionEvent``, ``DeadlineEvent``, ...), so the profile
+  says which handler dominates.  Arrivals never enter the event queue (the
+  runtime merges them in from the sorted request list) and are recorded
+  under ``ArrivalEvent``;
 * whole-loop throughput -- events processed per wall second between
   :meth:`LoopProfiler.start` and :meth:`LoopProfiler.stop`;
 * :class:`~repro.serve.clock.EventQueue` push/pop costs, captured by

@@ -7,9 +7,14 @@ traces -- so the ordering is fully specified:
 
 1. earlier ``time_s`` first;
 2. at equal times, lower ``priority`` first (completions free their worker
-   before a same-instant arrival or deadline looks for one);
+   before a same-instant deadline looks for one);
 3. at equal time and priority, insertion order (a monotonically increasing
    sequence number assigned by :meth:`EventQueue.push`).
+
+Request arrivals do not enter the queue.  The runtime takes them from the
+stably sorted request list and merges them against the queue head, an
+arrival going first only when it is strictly earlier: at equal times an
+arrival runs after every queued event, and arrivals keep list order.
 
 No wall-clock time, thread, or other nondeterministic source is involved
 anywhere in the loop.
@@ -20,20 +25,20 @@ from __future__ import annotations
 import heapq
 from typing import Any
 
-#: Event priorities at equal timestamps (lower runs first).  A batch
-#: completion at time ``t`` must free its worker before a deadline or
-#: arrival at the same ``t`` checks for idle capacity.  Fault transitions
-#: (worker death, repair, throttling) run after completions -- a batch
-#: finishing at the very instant its worker dies counts as completed --
-#: but before deadlines and arrivals, so same-instant dispatch decisions
-#: always observe the post-fault fleet state.  Retry re-admissions land
-#: between faults and deadlines: a request re-queued at ``t`` is already
-#: back in its queue when the deadline/arrival arbitration at ``t`` runs.
+#: Event priorities at equal timestamps (lower runs first; a same-instant
+#: arrival runs after all of them).  A batch completion at time ``t`` must
+#: free its worker before a deadline or arrival at the same ``t`` checks for
+#: idle capacity.  Fault transitions (worker death, repair, throttling) run
+#: after completions -- a batch finishing at the very instant its worker
+#: dies counts as completed -- but before deadlines and arrivals, so
+#: same-instant dispatch decisions always observe the post-fault fleet
+#: state.  Retry re-admissions land between faults and deadlines: a request
+#: re-queued at ``t`` is already back in its queue when the deadline/arrival
+#: arbitration at ``t`` runs.
 COMPLETION_PRIORITY = 0
 FAULT_PRIORITY = 1
 RETRY_PRIORITY = 2
 DEADLINE_PRIORITY = 3
-ARRIVAL_PRIORITY = 4
 
 
 class SimulationClock:

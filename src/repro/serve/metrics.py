@@ -30,9 +30,14 @@ import numpy as np
 from repro.serve.events import Batch, Request, TraceEvent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
-    """Lifecycle timestamps of one completed request."""
+    """Lifecycle timestamps of one completed request.
+
+    Slotted like :class:`~repro.serve.events.Request`.  The public
+    constructor checks the timestamp order; :meth:`unchecked` is the
+    collector's path, whose records are ordered by construction.
+    """
 
     request_id: int
     model: str
@@ -51,6 +56,32 @@ class RequestRecord:
                 f"{self.completion_s}"
             )
 
+    @staticmethod
+    def unchecked(
+        request: Request,
+        dispatch_s: float,
+        completion_s: float,
+        batch_id: int,
+        worker_id: int,
+        batch_size: int,
+    ) -> "RequestRecord":
+        """The record of ``request`` completing in a batch, without the check.
+
+        A request is dispatched no earlier than it arrived and completes a
+        positive latency after dispatch, so a record the event loop builds
+        is ordered without checking.
+        """
+        record = _new_object(RequestRecord)
+        _set_request_id(record, request.request_id)
+        _set_model(record, request.model)
+        _set_arrival_s(record, request.arrival_s)
+        _set_dispatch_s(record, dispatch_s)
+        _set_completion_s(record, completion_s)
+        _set_batch_id(record, batch_id)
+        _set_worker_id(record, worker_id)
+        _set_batch_size(record, batch_size)
+        return record
+
     @property
     def latency_s(self) -> float:
         """End-to-end latency: arrival to batch completion."""
@@ -60,6 +91,22 @@ class RequestRecord:
     def queue_wait_s(self) -> float:
         """Time spent waiting in the admission queue before dispatch."""
         return self.dispatch_s - self.arrival_s
+
+
+_new_object = object.__new__
+(
+    _set_request_id, _set_model, _set_arrival_s, _set_dispatch_s,
+    _set_completion_s, _set_batch_id, _set_worker_id, _set_batch_size,
+) = (
+    RequestRecord.request_id.__set__,
+    RequestRecord.model.__set__,
+    RequestRecord.arrival_s.__set__,
+    RequestRecord.dispatch_s.__set__,
+    RequestRecord.completion_s.__set__,
+    RequestRecord.batch_id.__set__,
+    RequestRecord.worker_id.__set__,
+    RequestRecord.batch_size.__set__,
+)
 
 
 @dataclass(frozen=True)
@@ -114,7 +161,7 @@ class ServingReport:
     n_retried_completions: int = 0
     wasted_busy_s: float = 0.0
     wasted_energy_j: float = 0.0
-    # --- event-loop throughput (ROADMAP item 1's hot-path baseline) ---
+    # --- event-loop throughput (ROADMAP item 3's hot-path baseline) ---
     #: Events the loop processed; deterministic, so it participates in
     #: report equality like any other simulated quantity.
     events_processed: int = 0
@@ -286,9 +333,9 @@ class ServingReport:
     def events_per_sec(self) -> float:
         """Wall-clock event-loop throughput: events processed per wall second.
 
-        The baseline number for the coming hot-path rewrite (ROADMAP
-        item 1).  Machine-dependent by nature; 0.0 when wall time was too
-        short to resolve.
+        The number ROADMAP item 3's event-loop rewrite is measured by.
+        Machine-dependent by nature; 0.0 when wall time was too short to
+        resolve.
         """
         if self.wall_time_s <= 0:
             return 0.0
@@ -391,19 +438,13 @@ class MetricsCollector:
         """
         self._batches.append(batch)
         self.n_retried_completions += n_retried
-        for request in batch.requests:
-            self._requests.append(
-                RequestRecord(
-                    request_id=request.request_id,
-                    model=request.model,
-                    arrival_s=request.arrival_s,
-                    dispatch_s=batch.dispatch_s,
-                    completion_s=batch.completion_s,
-                    batch_id=batch.batch_id,
-                    worker_id=batch.worker_id,
-                    batch_size=batch.size,
-                )
-            )
+        record = RequestRecord.unchecked
+        dispatch_s, completion_s = batch.dispatch_s, batch.completion_s
+        batch_id, worker_id, size = batch.batch_id, batch.worker_id, batch.size
+        self._requests += [
+            record(request, dispatch_s, completion_s, batch_id, worker_id, size)
+            for request in batch.requests
+        ]
 
     def finalize(
         self,

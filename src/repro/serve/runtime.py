@@ -18,6 +18,10 @@ Dispatch discipline (the usual dynamic-batching rule):
   ``max_wait_s`` deadline has expired (and a worker is idle);
 * with every worker busy, dispatch re-arbitration happens at the next
   batch completion;
+* arbitration runs only on a state change that can make a dispatch legal:
+  an arrival that fills a batch, an expiring deadline, a worker finishing,
+  returning from repair or losing its batch, or a retry re-forming a full
+  batch;
 * across models, the queue whose head has waited longest goes first
   (FIFO fairness; ties break on model name, then the event order).
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +49,6 @@ from repro.arch.accelerator import PhotonicAccelerator
 from repro.nn.model import Sequential, SiameseModel
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.clock import (
-    ARRIVAL_PRIORITY,
     COMPLETION_PRIORITY,
     DEADLINE_PRIORITY,
     RETRY_PRIORITY,
@@ -52,7 +56,6 @@ from repro.serve.clock import (
     SimulationClock,
 )
 from repro.serve.events import (
-    ArrivalEvent,
     Batch,
     CompletionEvent,
     DeadlineEvent,
@@ -76,6 +79,17 @@ from repro.utils.validation import check_positive_int
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs uses clock)
     from repro.obs import Observability
 
+_new_tuple = tuple.__new__
+
+
+def _entry(*fields) -> TraceEvent:
+    """A loop-internal :class:`TraceEvent`.
+
+    The loop writes only known kinds at float times, so its entries skip
+    ``TraceEvent.__new__``'s per-entry kind lookup and float conversion.
+    """
+    return _new_tuple(TraceEvent, fields)
+
 
 def requests_from_traffic(
     traffic: TrafficProcess,
@@ -94,26 +108,26 @@ def requests_from_traffic(
     Window-edge rejection happens here, at materialisation: an arrival at
     or beyond ``traffic.duration_s`` is a contract violation of the traffic
     process itself, so it raises immediately with the process named, rather
-    than surfacing later as an obscure event-loop error.
+    than surfacing later as an obscure event-loop error.  The window and
+    the sign are checked once on the whole array, which is what lets the
+    records themselves skip :class:`Request`'s per-instance check.
     """
-    times = traffic.arrival_times(np.random.default_rng(seed))
-    requests = []
-    for offset, time in enumerate(times):
-        time = float(time)
-        if time >= traffic.duration_s:
-            raise ValueError(
-                f"traffic process {traffic.describe()} produced an arrival "
-                f"at {time}s, at or beyond its {traffic.duration_s}s window"
-            )
-        requests.append(
-            Request(
-                request_id=start_id + offset,
-                model=model,
-                arrival_s=time,
-                input_index=None if n_inputs is None else (start_id + offset) % n_inputs,
-            )
+    times = np.asarray(traffic.arrival_times(np.random.default_rng(seed)), dtype=float)
+    late = times[times >= traffic.duration_s]
+    if late.size:
+        raise ValueError(
+            f"traffic process {traffic.describe()} produced an arrival "
+            f"at {float(late[0])}s, at or beyond its {traffic.duration_s}s window"
         )
-    return requests
+    negative = times[times < 0]
+    if negative.size:
+        raise ValueError(f"arrival_s must be >= 0, got {float(negative[0])}")
+    return [
+        Request.unchecked(
+            request_id, model, time, None if n_inputs is None else request_id % n_inputs
+        )
+        for request_id, time in zip(range(start_id, start_id + times.size), times.tolist())
+    ]
 
 
 class ServingRuntime:
@@ -227,6 +241,12 @@ class ServingRuntime:
     ) -> ServingReport:
         """Serve ``requests`` and reduce the run to a :class:`ServingReport`.
 
+        ``requests`` need not be sorted: the loop takes them in arrival
+        order, and requests with equal ``arrival_s`` arrive in list order.
+        An arrival runs after every scheduled event (completion, fault,
+        retry, deadline) at the same instant, so a worker freed at ``t`` is
+        idle for an arrival at ``t``.
+
         ``drain=True`` keeps serving after the traffic window until every
         admitted request completes (the report horizon extends to the last
         completion); ``drain=False`` cuts the run at ``duration_s``,
@@ -240,6 +260,9 @@ class ServingRuntime:
             # streams); a fresh runtime keeps every run reproducible.
             raise RuntimeError("a ServingRuntime instance runs once; build a fresh one")
         self._ran = True
+        for model in {request.model for request in requests}:
+            if model not in self._batchers:
+                raise KeyError(f"no workloads registered for model {model!r}")
         clock = SimulationClock()
         profiler = self.obs.profiler if self.obs is not None else None
         queue = profiler.instrument_queue() if profiler is not None else EventQueue()
@@ -255,23 +278,37 @@ class ServingRuntime:
         self._lost_batches: set[int] = set()
         self._attempts: dict[int, int] = {}
         self._retried: set[int] = set()
-
-        for request in requests:
-            if request.model not in self._batchers:
-                raise KeyError(f"no workloads registered for model {request.model!r}")
-            queue.push(request.arrival_s, ARRIVAL_PRIORITY, ArrivalEvent(request))
         if self._faults_active:
             self.injector.schedule(queue, len(self.pool), duration_s)
 
+        # Arrivals never enter the event queue: a cursor over the stably
+        # sorted requests is merged against the queue head, and an arrival
+        # goes first only when it is strictly earlier.
+        arrivals = sorted(requests, key=attrgetter("arrival_s"))
+        n_arrivals = len(arrivals)
+        next_arrival = 0
+        arrival_s = arrivals[0].arrival_s if arrivals else 0.0
         events_processed = 0
         if profiler is not None:
             profiler.start()
         wall_ns0 = time.perf_counter_ns()
-        while queue:
-            next_time = queue.peek_time_s()
-            if not drain and next_time > duration_s:
+        while True:
+            event_s = queue.peek_time_s()
+            if next_arrival < n_arrivals and (event_s is None or arrival_s < event_s):
+                time_s = arrival_s
+                payload = arrivals[next_arrival]
+                next_arrival += 1
+                if next_arrival < n_arrivals:
+                    arrival_s = arrivals[next_arrival].arrival_s
+            elif event_s is not None:
+                time_s = event_s
+                payload = None
+            else:
                 break
-            time_s, _, _, payload = queue.pop()
+            if not drain and time_s > duration_s:
+                break
+            if payload is None:
+                payload = queue.pop()[3]
             clock.advance_to(time_s)
             events_processed += 1
             if profiler is None:
@@ -279,7 +316,8 @@ class ServingRuntime:
             else:
                 t0 = time.perf_counter_ns()
                 self._process_event(payload, clock, queue, metrics, trace, outputs)
-                profiler.record(type(payload).__name__, time.perf_counter_ns() - t0)
+                kind = "ArrivalEvent" if isinstance(payload, Request) else type(payload).__name__
+                profiler.record(kind, time.perf_counter_ns() - t0)
         wall_time_s = (time.perf_counter_ns() - wall_ns0) * 1e-9
         if profiler is not None:
             profiler.stop()
@@ -343,15 +381,15 @@ class ServingRuntime:
     # Handlers
     # ------------------------------------------------------------------ #
     def _process_event(self, payload, clock, queue, metrics, trace, outputs) -> None:
-        """Dispatch one popped event to its handler (the loop body)."""
-        if isinstance(payload, ArrivalEvent):
-            self._handle_arrival(payload.request, clock, queue, metrics, trace)
-        elif isinstance(payload, DeadlineEvent):
-            self._handle_deadline(payload, clock, queue, metrics, trace, outputs)
+        """Dispatch one arrival or popped event to its handler (the loop body)."""
+        if isinstance(payload, Request):
+            self._handle_arrival(payload, clock, queue, metrics, trace)
         elif isinstance(payload, CompletionEvent):
             self._handle_completion(
                 payload.batch, clock, queue, metrics, trace, outputs
             )
+        elif isinstance(payload, DeadlineEvent):
+            self._handle_deadline(payload, clock, queue, metrics, trace, outputs)
         elif isinstance(payload, WorkerDownEvent):
             self._handle_worker_down(payload, clock, queue, metrics, trace)
         elif isinstance(payload, WorkerUpEvent):
@@ -367,20 +405,28 @@ class ServingRuntime:
 
     def _handle_arrival(self, request, clock, queue, metrics, trace) -> None:
         metrics.record_arrival(request)
+        now = clock.now_s
         batcher = self._batchers[request.model]
-        if not batcher.offer(request, clock.now_s):
+        if not batcher.offer(request, now):
             metrics.record_shed(request)
-            trace.append(TraceEvent(clock.now_s, "shed", request.request_id))
+            trace.append(_entry(now, "shed", request.request_id))
             return
-        trace.append(TraceEvent(clock.now_s, "arrival", request.request_id))
-        if batcher.head is request:
+        trace.append(_entry(now, "arrival", request.request_id))
+        depth = len(batcher)
+        if depth == 1:
             # New queue head: arm its max-wait deadline wake-up.
             queue.push(
                 batcher.head_deadline_s,
                 DEADLINE_PRIORITY,
                 DeadlineEvent(request.model, request.request_id),
             )
-        self._dispatch_ready(clock, queue, trace)
+        if depth == self.policy.max_batch_size:
+            # Re-arbitrate only when this arrival filled a batch.  Every
+            # other handler leaves no legal (batch, idle worker) pair behind
+            # it, and every same-instant completion, fault, retry and
+            # deadline has already run, so an arrival that leaves its queue
+            # short of a full batch cannot make a dispatch legal.
+            self._dispatch_ready(clock, queue, trace)
 
     def _handle_deadline(self, event, clock, queue, metrics, trace, outputs) -> None:
         # Advisory wake-up: the armed head may already have dispatched in a
@@ -407,7 +453,7 @@ class ServingRuntime:
         metrics.record_batch(batch, n_retried)
         self.pool.workers[batch.worker_id].record_completion(batch.latency_s, batch.size)
         self._last_completion_s = clock.now_s
-        trace.append(TraceEvent(clock.now_s, "complete", batch.batch_id))
+        trace.append(_entry(clock.now_s, "complete", batch.batch_id))
         functional = self.functional.get(batch.model)
         if functional is not None:
             model, inputs = functional
@@ -436,7 +482,7 @@ class ServingRuntime:
             return
         worker.mark_down(clock.now_s, drained=event.cause == "drain")
         trace.append(
-            TraceEvent(clock.now_s, "worker_down", event.worker_id, event.cause)
+            _entry(clock.now_s, "worker_down", event.worker_id, event.cause)
         )
         batch = self._in_flight.pop(event.worker_id, None)
         if batch is None:
@@ -453,9 +499,7 @@ class ServingRuntime:
             wasted_energy_j=worker.power_w * elapsed_s,
         )
         trace.append(
-            TraceEvent(
-                clock.now_s, "batch_lost", batch.batch_id, worker.worker_id, batch.size
-            )
+            _entry(clock.now_s, "batch_lost", batch.batch_id, worker.worker_id, batch.size)
         )
         self._retry_or_fail(batch, clock, queue, metrics, trace)
         # Every synchronous retry is back in its queue now; a survivor may
@@ -466,22 +510,18 @@ class ServingRuntime:
         worker = self.pool.workers[event.worker_id]
         if worker.state != "down" or not worker.mark_up(clock.now_s):
             return  # stale repair: the worker was drained in the meantime
-        trace.append(TraceEvent(clock.now_s, "worker_up", event.worker_id))
+        trace.append(_entry(clock.now_s, "worker_up", event.worker_id))
         self._dispatch_ready(clock, queue, trace)
 
     def _handle_throttle_start(self, event, clock, trace) -> None:
         worker = self.pool.workers[event.worker_id]
         if worker.throttle(event.derate, event.episode):
-            trace.append(
-                TraceEvent(
-                    clock.now_s, "throttle_start", event.worker_id, event.derate
-                )
-            )
+            trace.append(_entry(clock.now_s, "throttle_start", event.worker_id, event.derate))
 
     def _handle_throttle_end(self, event, clock, trace) -> None:
         worker = self.pool.workers[event.worker_id]
         if worker.unthrottle(event.episode):
-            trace.append(TraceEvent(clock.now_s, "throttle_end", event.worker_id))
+            trace.append(_entry(clock.now_s, "throttle_end", event.worker_id))
 
     def _handle_retry(self, event, clock, queue, trace) -> None:
         # Re-admission after backoff.  A *due* head waits for the deadline
@@ -492,7 +532,7 @@ class ServingRuntime:
         # A re-formed *full* batch, however, dispatches immediately: full
         # batches never wait, and no deadline wake-up would catch one whose
         # head is not yet due.
-        trace.append(TraceEvent(clock.now_s, "readmit", event.request.request_id))
+        trace.append(_entry(clock.now_s, "readmit", event.request.request_id))
         self._requeue_front(event.request, clock, queue)
         if self._batchers[event.request.model].has_full_batch():
             self._dispatch_ready(clock, queue, trace)
@@ -510,13 +550,13 @@ class ServingRuntime:
             if attempts >= self.retry.max_attempts:
                 metrics.record_failed(request, clock.now_s, attempts)
                 trace.append(
-                    TraceEvent(clock.now_s, "failed", request.request_id, attempts)
+                    _entry(clock.now_s, "failed", request.request_id, attempts)
                 )
                 continue
             metrics.record_retry(request)
             self._retried.add(request.request_id)
             trace.append(
-                TraceEvent(clock.now_s, "retry", request.request_id, attempts)
+                _entry(clock.now_s, "retry", request.request_id, attempts)
             )
             if backoff_s > 0:
                 queue.push(
@@ -588,10 +628,7 @@ class ServingRuntime:
                 )
         queue.push(batch.completion_s, COMPLETION_PRIORITY, CompletionEvent(batch))
         trace.append(
-            TraceEvent(
-                now, "dispatch", batch.batch_id, worker.worker_id, batch.size,
-                batch.model,
-            )
+            _entry(now, "dispatch", batch.batch_id, worker.worker_id, batch.size, batch.model)
         )
         head = batcher.head
         if head is not None:

@@ -460,6 +460,16 @@ class TestContracts:
                 EdgeTraffic(rate_rps=1.0, duration_s=0.5), "lenet5", seed=0
             )
 
+    def test_requests_from_traffic_rejects_negative_arrivals(self):
+        class EarlyTraffic(PoissonTraffic):
+            def arrival_times(self, rng):
+                return np.asarray([0.1, -0.2, 0.3])
+
+        with pytest.raises(ValueError, match="arrival_s must be >= 0, got -0.2"):
+            requests_from_traffic(
+                EarlyTraffic(rate_rps=1.0, duration_s=0.5), "lenet5", seed=0
+            )
+
     def test_retry_policy_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)

@@ -12,6 +12,13 @@ Successive waits are strongly correlated, so the comparison uses a
 batch-means confidence interval: the run's waits (in arrival order, which
 a FIFO single server completes in) are cut into 20 contiguous batches and
 the interval is the batch means' 99% Student-t interval.
+
+Little's law needs no distributional assumption: over a drained run the
+time integral of the queue depth equals the summed queue waits, so the
+time-averaged depth L equals the arrival rate times the mean wait, L = lambda W.
+The depth is replayed from the event trace (an arrival adds one request, a
+dispatch removes its batch) and the waits come from the request records,
+so the check ties the loop's arrival and dispatch ordering to its records.
 """
 
 from __future__ import annotations
@@ -21,7 +28,13 @@ import pytest
 
 from repro.arch.accelerator import CrossLightAccelerator
 from repro.nn.zoo import build_model
-from repro.serve import BatchPolicy, PoissonTraffic, serve_trace
+from repro.serve import (
+    BatchPolicy,
+    PoissonTraffic,
+    ServingRuntime,
+    requests_from_traffic,
+    serve_trace,
+)
 from repro.sim.tracer import trace_model
 
 N_REQUESTS = 20_000
@@ -67,3 +80,62 @@ def test_md1_queue_wait_matches_pollaczek_khinchine(lenet, crosslight, rho, seed
     assert report.utilisation * report.horizon_s == pytest.approx(
         report.n_completed * service_s, rel=1e-9
     )
+
+
+def _queue_depth_integral(report) -> float:
+    """Time integral of the total queue depth, replayed from the event trace."""
+    integral, depth, last_s = 0.0, 0, 0.0
+    for entry in report.event_trace:
+        integral += depth * (entry.time_s - last_s)
+        last_s = entry.time_s
+        if entry.kind == "arrival":
+            depth += 1
+        elif entry.kind == "dispatch":
+            depth -= entry.ids[2]
+    assert depth == 0
+    return integral
+
+
+def _two_model_run(crosslight, seed):
+    models = build_model(1), build_model(2)
+    runtime = ServingRuntime(
+        {model.name: trace_model(model) for model in models},
+        crosslight,
+        BatchPolicy(max_batch_size=8, max_wait_s=20e-6),
+        n_workers=4,
+    )
+    requests = requests_from_traffic(
+        PoissonTraffic(rate_rps=600_000.0, duration_s=0.01), models[0].name, seed
+    ) + requests_from_traffic(
+        PoissonTraffic(rate_rps=8_000.0, duration_s=0.01), models[1].name,
+        seed + 100, start_id=1_000_000,
+    )
+    return runtime.run(requests, 0.01)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("fleet", ["one_model", "two_model"])
+def test_littles_law_on_replayed_queue_depth(lenet, crosslight, fleet, seed):
+    if fleet == "one_model":
+        report = serve_trace(
+            lenet,
+            crosslight,
+            PoissonTraffic(rate_rps=1.2e6, duration_s=0.01),
+            BatchPolicy(max_batch_size=8, max_wait_s=20e-6),
+            n_workers=4,
+            seed=seed,
+        )
+    else:
+        report = _two_model_run(crosslight, seed)
+    assert report.n_completed == report.n_arrivals > 5_000
+    assert report.n_shed == report.n_failed == 0
+
+    area = _queue_depth_integral(report)
+    waits = [record.queue_wait_s for record in report.requests]
+    assert area > 0
+    assert area == pytest.approx(sum(waits), rel=1e-9)
+
+    horizon_s = report.horizon_s
+    mean_depth = area / horizon_s
+    arrival_rate = report.n_arrivals / horizon_s
+    assert mean_depth == pytest.approx(arrival_rate * np.mean(waits), rel=1e-9)

@@ -33,6 +33,7 @@ from repro.serve import (
     MicroBatcher,
     PoissonTraffic,
     Request,
+    RequestRecord,
     ServingRuntime,
     SimulationClock,
     TraceTraffic,
@@ -78,6 +79,28 @@ class TestEventCore:
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()
+
+    def test_records_are_slotted_and_bulk_paths_match_constructors(self):
+        request = Request(request_id=3, model="m", arrival_s=0.5, input_index=1)
+        assert Request.unchecked(3, "m", 0.5, 1) == request
+        record = RequestRecord(
+            request_id=3, model="m", arrival_s=0.5, dispatch_s=0.75,
+            completion_s=1.0, batch_id=2, worker_id=1, batch_size=4,
+        )
+        assert RequestRecord.unchecked(request, 0.75, 1.0, 2, 1, 4) == record
+        for value in (request, record, Request.unchecked(3, "m", 0.5, 1)):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(AttributeError):
+                value.request_id = 4
+
+    def test_public_record_constructors_still_validate(self):
+        with pytest.raises(ValueError, match="arrival_s"):
+            Request(request_id=0, model="m", arrival_s=-1.0)
+        with pytest.raises(ValueError, match="ordered"):
+            RequestRecord(
+                request_id=0, model="m", arrival_s=1.0, dispatch_s=0.5,
+                completion_s=2.0, batch_id=0, worker_id=0, batch_size=1,
+            )
 
     def test_clock_never_goes_backwards(self):
         clock = SimulationClock()
@@ -454,7 +477,52 @@ class TestServeTrace:
             runtime.run(requests, traffic.duration_s)
 
 
+class TestArbitrationCount:
+    """A deterministic guard on the loop's hot path, with no wall clock.
+
+    Dispatch arbitration (``ServingRuntime._dispatch_ready``) runs only
+    where the fleet state changed: a batcher becoming dispatchable, a
+    worker going idle, or a fault.  Counting its calls on a fixed run
+    catches a regression to re-arbitrating on every event -- about 0.9
+    calls per event -- on any machine.  The event count is pinned too, so
+    the guard cannot pass by processing fewer events.
+    """
+
+    def test_arbitration_runs_on_fewer_than_half_the_events(
+        self, lenet, crosslight, monkeypatch
+    ):
+        calls = 0
+        arbitrate = ServingRuntime._dispatch_ready
+
+        def counted(self, *args):
+            nonlocal calls
+            calls += 1
+            return arbitrate(self, *args)
+
+        monkeypatch.setattr(ServingRuntime, "_dispatch_ready", counted)
+        capacity_rps = 4 * 8 / crosslight.batch_latency_s(trace_model(lenet), 8)
+        rate = 0.8 * capacity_rps
+        report = serve_trace(
+            lenet,
+            crosslight,
+            PoissonTraffic(rate_rps=rate, duration_s=10_000 / rate),
+            BatchPolicy(max_batch_size=8, max_wait_s=2.0 * 8 / rate),
+            n_workers=4,
+            seed=0,
+        )
+        assert report.n_arrivals == 10_058
+        assert report.events_processed == 12_574
+        assert calls < 0.5 * report.events_processed
+
+
 class TestMultiModel:
+    def test_unknown_model_rejected_before_the_loop(self, crosslight, lenet_workloads):
+        runtime = ServingRuntime(
+            {"lenet5": lenet_workloads}, crosslight, BatchPolicy(), n_workers=1
+        )
+        with pytest.raises(KeyError, match="no workloads registered for model 'other'"):
+            runtime.run([_request(0, 0.0, "lenet5"), _request(1, 0.5, "other")], 1.0)
+
     def test_per_model_queues_never_mix_batches(self, crosslight):
         models = {1: build_model(1), 2: build_model(2)}
         workloads = {m.name: trace_model(m) for m in models.values()}
