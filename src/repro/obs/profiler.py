@@ -7,11 +7,14 @@ machinery itself:
 
 * per-event-kind handler timing -- one fixed-log-bucket histogram per
   payload type (``CompletionEvent``, ``DeadlineEvent``, ...), so the profile
-  says which handler dominates.  Arrivals never enter the event queue (the
-  runtime merges them in from the sorted request list) and are recorded
-  under ``ArrivalEvent``;
+  says which handler dominates.  Arrivals never enter the event queue: the
+  runtime admits them in spans (every arrival up to the next one that
+  changes the loop's state, or the next scheduled event), and each span is
+  one ``ArrivalEvent`` sample, however many arrivals it took;
 * whole-loop throughput -- events processed per wall second between
-  :meth:`LoopProfiler.start` and :meth:`LoopProfiler.stop`;
+  :meth:`LoopProfiler.start` and :meth:`LoopProfiler.stop`.  Every
+  arrival counts as one event, as does every popped event, so
+  ``events_processed`` matches the report's;
 * :class:`~repro.serve.clock.EventQueue` push/pop costs, captured by
   swapping in an :class:`InstrumentedEventQueue` subclass.
 
@@ -27,6 +30,8 @@ from __future__ import annotations
 
 import time
 from typing import Any
+
+import numpy as np
 
 from repro.serve.clock import EventQueue
 
@@ -49,6 +54,10 @@ class LoopProfiler:
         self._buckets = buckets
         self._handlers: dict[str, Histogram] = {}
         self._queue_ops: dict[str, Histogram] = {}
+        # Raw nanosecond samples, folded into the histograms on every read,
+        # so recording inside the loop is one list append.
+        self._handler_ns: dict[str, list[int]] = {}
+        self._queue_op_ns: dict[str, list[int]] = {}
         self._events = 0
         self._wall_ns = 0
         self._started_ns: int | None = None
@@ -67,26 +76,35 @@ class LoopProfiler:
         self._wall_ns += time.perf_counter_ns() - self._started_ns
         self._started_ns = None
 
-    def record(self, kind: str, elapsed_ns: int) -> None:
-        """Record one handler invocation for event ``kind``."""
-        hist = self._handlers.get(kind)
-        if hist is None:
-            hist = Histogram(
-                "profile.handler_s", (("kind", kind),), buckets=self._buckets
-            )
-            self._handlers[kind] = hist
-        hist.observe(elapsed_ns * 1e-9)
-        self._events += 1
+    def record(self, kind: str, elapsed_ns: int, n_events: int = 1) -> None:
+        """Record one handler invocation for event ``kind`` covering ``n_events``."""
+        samples = self._handler_ns.get(kind)
+        if samples is None:
+            samples = self._handler_ns[kind] = []
+        samples.append(elapsed_ns)
+        self._events += n_events
 
     def record_queue_op(self, op: str, elapsed_ns: int) -> None:
         """Record one ``EventQueue`` ``push``/``pop`` (fed by the subclass)."""
-        hist = self._queue_ops.get(op)
-        if hist is None:
-            hist = Histogram(
-                "profile.queue_op_s", (("op", op),), buckets=self._buckets
-            )
-            self._queue_ops[op] = hist
-        hist.observe(elapsed_ns * 1e-9)
+        samples = self._queue_op_ns.get(op)
+        if samples is None:
+            samples = self._queue_op_ns[op] = []
+        samples.append(elapsed_ns)
+
+    def _fold(self) -> None:
+        """Move the raw samples into the per-kind and per-op histograms."""
+        for name, label, raw, hists in (
+            ("profile.handler_s", "kind", self._handler_ns, self._handlers),
+            ("profile.queue_op_s", "op", self._queue_op_ns, self._queue_ops),
+        ):
+            for key, samples in raw.items():
+                hist = hists.get(key)
+                if hist is None:
+                    hist = hists[key] = Histogram(
+                        name, ((label, key),), buckets=self._buckets
+                    )
+                hist.observe_many(np.asarray(samples) * 1e-9)
+                samples.clear()
 
     def instrument_queue(self) -> "InstrumentedEventQueue":
         """A fresh :class:`EventQueue` whose push/pop report to this profiler."""
@@ -97,7 +115,7 @@ class LoopProfiler:
     # ------------------------------------------------------------------ #
     @property
     def events_processed(self) -> int:
-        """Handler invocations recorded so far."""
+        """Events the recorded handler invocations covered so far."""
         return self._events
 
     @property
@@ -112,6 +130,7 @@ class LoopProfiler:
 
     def summary(self) -> dict[str, Any]:
         """JSON-ready profile: throughput plus per-kind and queue-op stats."""
+        self._fold()
         def stats(hist: Histogram) -> dict[str, Any]:
             return {
                 "count": hist.count,
@@ -139,6 +158,7 @@ class LoopProfiler:
         Rows are sorted by total time descending -- the first row is where
         the hot-path rewrite should start.
         """
+        self._fold()
         rows = [
             (kind, hist.count, hist.sum, hist.mean)
             for kind, hist in self._handlers.items()
@@ -161,6 +181,7 @@ class LoopProfiler:
 
     def samples(self) -> list[MetricSample]:
         """Registry-style samples (merged into metrics exports when enabled)."""
+        self._fold()
         out = [hist.sample() for hist in self._handlers.values()]
         out += [hist.sample() for hist in self._queue_ops.values()]
         out.append(

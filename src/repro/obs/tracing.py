@@ -51,21 +51,21 @@ class Tracer:
     timeline -- lands in one trace file without id collisions.
 
     All ``*_s`` timestamps are seconds in the caller's timebase (simulated
-    or wall); they are scaled to trace microseconds on entry.  Export sorts
+    or wall); they are scaled to trace microseconds.  Export sorts
     by timestamp (metadata first), so events may be emitted out of order --
     the serving runtime emits a batch's span at *completion* time, when its
     true extent is known.
     """
 
     def __init__(self) -> None:
-        self._events: list[dict[str, Any]] = []
+        self._events: list[tuple] = []
         self._meta: list[dict[str, Any]] = []
         self._next_pid = 1
         self._pids: dict[str, int] = {}
         self._wall_epoch: float | None = None
 
     def __len__(self) -> int:
-        return len(self._events) + len(self._meta)
+        return sum(1 for _ in self._expanded()) + len(self._meta)
 
     # ------------------------------------------------------------------ #
     # Track management
@@ -115,6 +115,12 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # Event emission
     # ------------------------------------------------------------------ #
+    # Single events are stored as ``(ts_us, ph, name, pid, tid, cat, extra,
+    # args)`` tuples (``extra``: an X span's duration, an async event's id)
+    # and become trace-event dicts only on export.  The bulk emitters store
+    # their parallel sequences as one ``("counters", ...)`` or
+    # ``("spans", ...)`` block, split into events on export, so a traced
+    # serving run spends no per-request step on its request spans.
     def complete(
         self,
         ts_s: float,
@@ -125,13 +131,9 @@ class Tracer:
         args: dict[str, Any] | None = None,
     ) -> None:
         """One ``X`` span: a duration whose extent is known at emission."""
-        event = {
-            "name": name, "ph": "X", "ts": ts_s * _US,
-            "dur": max(0.0, dur_s) * _US, "pid": pid, "tid": tid,
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
+        self._events.append(
+            (ts_s * _US, "X", name, pid, tid, None, max(0.0, dur_s) * _US, args)
+        )
 
     def instant(
         self,
@@ -142,22 +144,21 @@ class Tracer:
         args: dict[str, Any] | None = None,
     ) -> None:
         """A thread-scoped ``i`` instant event (faults, sheds, retries)."""
-        event = {
-            "name": name, "ph": "i", "ts": ts_s * _US,
-            "pid": pid, "tid": tid, "s": "t",
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
+        self._events.append((ts_s * _US, "i", name, pid, tid, None, None, args))
 
     def counter(
         self, ts_s: float, name: str, pid: int, tid: int, values: dict[str, float]
     ) -> None:
         """A ``C`` counter sample (rendered as an area chart over time)."""
-        self._events.append(
-            {"name": name, "ph": "C", "ts": ts_s * _US, "pid": pid, "tid": tid,
-             "args": dict(values)}
-        )
+        self._events.append((ts_s * _US, "C", name, pid, tid, None, None, dict(values)))
+
+    def counters(self, pid: int, tid: int, ts_s, names, values) -> None:
+        """``C`` samples from parallel sequences, in order.
+
+        The sequences and each ``values`` dict (a sample's ``args``) are
+        kept, not copied: do not change them afterwards.
+        """
+        self._events.append(("counters", pid, tid, ts_s, names, values))
 
     def async_begin(
         self,
@@ -170,13 +171,7 @@ class Tracer:
         args: dict[str, Any] | None = None,
     ) -> None:
         """Open a nestable async ``b`` span correlated by ``(cat, id)``."""
-        event = {
-            "name": name, "cat": cat, "ph": "b", "id": correlation_id,
-            "ts": ts_s * _US, "pid": pid, "tid": tid,
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
+        self._events.append((ts_s * _US, "b", name, pid, tid, cat, correlation_id, args))
 
     def async_end(
         self,
@@ -188,10 +183,7 @@ class Tracer:
         tid: int = 0,
     ) -> None:
         """Close the matching async ``e`` span."""
-        self._events.append(
-            {"name": name, "cat": cat, "ph": "e", "id": correlation_id,
-             "ts": ts_s * _US, "pid": pid, "tid": tid}
-        )
+        self._events.append((ts_s * _US, "e", name, pid, tid, cat, correlation_id, None))
 
     def async_span(
         self,
@@ -202,11 +194,16 @@ class Tracer:
         correlation_id: int,
         pid: int,
         tid: int = 0,
-        args: dict[str, Any] | None = None,
     ) -> None:
         """Emit a ``b``/``e`` pair for an extent known at emission time."""
-        self.async_begin(start_s, name, cat, correlation_id, pid, tid, args)
-        self.async_end(end_s, name, cat, correlation_id, pid, tid)
+        self.async_spans(pid, cat, (start_s,), (end_s,), (name,), (correlation_id,), (tid,))
+
+    def async_spans(self, pid: int, cat: str, starts_s, ends_s, names, ids, tids) -> None:
+        """``b``/``e`` pairs of category ``cat`` from parallel sequences, in order.
+
+        The sequences are kept, not copied: do not change them afterwards.
+        """
+        self._events.append(("spans", pid, cat, starts_s, ends_s, names, ids, tids))
 
     # ------------------------------------------------------------------ #
     # Export
@@ -218,13 +215,39 @@ class Tracer:
         order)``, so ``ts`` is monotonic within the payload -- the property
         the schema test asserts and some viewers silently rely on.
         """
-        ordered = sorted(
-            enumerate(self._events), key=lambda pair: (pair[1]["ts"], pair[0])
-        )
+        ordered = sorted(self._expanded(), key=lambda keyed: keyed[:3])
         return {
-            "traceEvents": self._meta + [event for _, event in ordered],
+            "traceEvents": self._meta + [_event_dict(*event) for *_, event in ordered],
             "displayTimeUnit": "ms",
         }
+
+    def _expanded(self):
+        """Every stored event as ``(ts_us, index, sub, event)``, blocks split.
+
+        ``index`` is the emission order and ``sub`` the order within a
+        block, so sorting on the first three fields orders by time, then by
+        emission.
+        """
+        for index, event in enumerate(self._events):
+            if event[0] == "counters":
+                _, pid, tid, ts_s, names, values = event
+                for sub, (ts, name, value) in enumerate(zip(ts_s, names, values)):
+                    ts_us = ts * _US
+                    yield ts_us, index, sub, (ts_us, "C", name, pid, tid, None, None, value)
+            elif event[0] == "spans":
+                _, pid, cat, starts_s, ends_s, names, ids, tids = event
+                for sub, (start, end, name, correlation_id, tid) in enumerate(
+                    zip(starts_s, ends_s, names, ids, tids)
+                ):
+                    start_us, end_us = start * _US, end * _US
+                    yield start_us, index, 2 * sub, (
+                        start_us, "b", name, pid, tid, cat, correlation_id, None
+                    )
+                    yield end_us, index, 2 * sub + 1, (
+                        end_us, "e", name, pid, tid, cat, correlation_id, None
+                    )
+            else:
+                yield event[0], index, 0, event
 
     def to_json(self, indent: int | None = None) -> str:
         """The trace serialised as JSON (compact by default; traces are big)."""
@@ -235,3 +258,21 @@ class Tracer:
         from pathlib import Path
 
         Path(path).write_text(self.to_json() + "\n")
+
+
+def _event_dict(ts, ph, name, pid, tid, cat, extra, args) -> dict[str, Any]:
+    """The trace-event dict of one stored event tuple."""
+    if ph == "C":
+        return {"name": name, "ph": ph, "ts": ts, "pid": pid, "tid": tid, "args": args}
+    if ph == "X":
+        event = {"name": name, "ph": ph, "ts": ts, "dur": extra, "pid": pid, "tid": tid}
+    elif ph == "i":
+        event = {"name": name, "ph": ph, "ts": ts, "pid": pid, "tid": tid, "s": "t"}
+    else:
+        event = {
+            "name": name, "cat": cat, "ph": ph, "id": extra,
+            "ts": ts, "pid": pid, "tid": tid,
+        }
+    if args:
+        event["args"] = args
+    return event

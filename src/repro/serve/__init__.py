@@ -9,7 +9,8 @@ datacenter-inference studies evaluate and the ROADMAP's
 "heavy traffic from millions of users" north star requires.
 
 * :mod:`repro.serve.clock` -- deterministic event queue and simulated clock;
-* :mod:`repro.serve.events` -- request/batch records and event payloads;
+* :mod:`repro.serve.events` -- request columns, request/batch records and
+  event payloads;
 * :mod:`repro.serve.traffic` -- seeded arrival processes (steady Poisson,
   bursty Markov-modulated, diurnal, trace replay);
 * :mod:`repro.serve.batcher` -- admission queues and the dynamic
@@ -42,12 +43,13 @@ Quick start::
 
 from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.clock import EventQueue, SimulationClock
-from repro.serve.events import Batch, Request, TraceEvent
+from repro.serve.events import Batch, Request, RequestColumns, TraceEvent
 from repro.serve.faults import FaultInjector, FaultModel, RetryPolicy
 from repro.serve.metrics import (
     FailureRecord,
     MetricsCollector,
     RequestRecord,
+    RunColumns,
     ServingReport,
 )
 from repro.serve.runtime import ServingRuntime, requests_from_traffic, serve_trace
@@ -74,8 +76,10 @@ __all__ = [
     "MicroBatcher",
     "PoissonTraffic",
     "Request",
+    "RequestColumns",
     "RequestRecord",
     "RetryPolicy",
+    "RunColumns",
     "ServingReport",
     "ServingRuntime",
     "SimulationClock",

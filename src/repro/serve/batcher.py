@@ -14,9 +14,11 @@ request arriving at a full queue is **shed** (rejected immediately) instead
 of growing the queue without bound -- the shed rate is a first-class metric
 of the serving report.
 
-Each model gets its own :class:`MicroBatcher` (batches never mix models,
-since a model switch reprograms the accelerator's weight banks); the
-runtime arbitrates across batchers by oldest queue head.
+Each model gets its own queue (batches never mix models, since a model
+switch reprograms the accelerator's weight banks), and the runtime
+arbitrates across queues by oldest queue head.  :class:`MicroBatcher` is
+the per-request form of one such queue; the serving runtime applies the
+same policy to columnar requests, admitting arrivals as row ranges.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ traces -- so the ordering is fully specified:
 3. at equal time and priority, insertion order (a monotonically increasing
    sequence number assigned by :meth:`EventQueue.push`).
 
-Request arrivals do not enter the queue.  The runtime takes them from the
-stably sorted request list and merges them against the queue head, an
-arrival going first only when it is strictly earlier: at equal times an
-arrival runs after every queued event, and arrivals keep list order.
+Request arrivals do not enter the queue.  The runtime takes them, in
+spans, from the stably sorted request columns and merges them against the
+queue head, an arrival going first only when it is strictly earlier: at
+equal times an arrival runs after every queued event, and arrivals keep
+input order.
 
 No wall-clock time, thread, or other nondeterministic source is involved
 anywhere in the loop.

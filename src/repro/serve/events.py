@@ -1,13 +1,15 @@
 """Event and record types of the serving runtime.
 
 The discrete-event loop merges request arrivals, taken in arrival order
-from the request list, with the events it schedules: batch deadlines, batch
-completions, and -- when a :class:`~repro.serve.faults.FaultInjector` is
-attached -- worker lifecycle transitions (crash/repair, thermal throttle,
-permanent drain) and retry re-admissions.  It produces two durable records:
-:class:`Batch` (one accelerator dispatch) and, in :mod:`repro.serve.metrics`,
-per-request latency records.  Everything here is a frozen dataclass so
-records can be collected into hashable, comparable report tuples.
+from :class:`RequestColumns`, with the events it schedules: batch
+deadlines, batch completions, and -- when a
+:class:`~repro.serve.faults.FaultInjector` is attached -- worker lifecycle
+transitions (crash/repair, thermal throttle, permanent drain) and retry
+re-admissions.  The run record is columnar; :class:`Request`,
+:class:`Batch` and, in :mod:`repro.serve.metrics`, the per-request latency
+records are frozen per-item views the report builds from it on demand.
+Event payloads are named tuples: immutable, and cheap to build once per
+scheduled event.
 
 The runtime also keeps a flat *event trace*: one :class:`TraceEvent` per
 observable state transition, ``(time_s, kind, *ids)``.  Two runs are
@@ -17,7 +19,11 @@ the determinism tests assert.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 
 class TraceEvent(tuple):
@@ -93,9 +99,9 @@ class TraceEvent(tuple):
 class Request:
     """One inference request flowing through the serving system.
 
-    Slotted, so a 100k-request run holds no per-request ``__dict__``.  The
-    public constructor validates; :meth:`unchecked` is the bulk path for
-    callers that have already validated the arrival times.
+    Slotted, so a request list holds no per-request ``__dict__``.  The
+    serving loop itself works on :class:`RequestColumns`; a ``Request`` is
+    the per-request view of one of their rows.
     """
 
     request_id: int
@@ -107,32 +113,131 @@ class Request:
         if self.arrival_s < 0:
             raise ValueError(f"arrival_s must be >= 0, got {self.arrival_s}")
 
-    @staticmethod
-    def unchecked(
-        request_id: int, model: str, arrival_s: float, input_index: int | None
-    ) -> "Request":
-        """A request built without ``__init__`` or its check.
 
-        Only for arrival times already known to be ``>= 0``, such as an
-        arrival array :func:`~repro.serve.runtime.requests_from_traffic`
-        checked as a whole.  Writing the slots directly is about twice as
-        fast as the frozen ``__init__``.
+class RequestColumns(Sequence):
+    """Requests stored as columns; indexing yields :class:`Request` views.
+
+    ``request_id``, ``arrival_s``, ``model`` (a code into ``models``) and
+    ``input_index`` (``-1`` where a request has none) are parallel arrays,
+    so a 100k-request workload is four arrays rather than 100k objects.
+    Slicing returns columns; ``+`` concatenates with columns or with any
+    iterable of requests (a plain list on either side); :meth:`append`
+    adds one request.  Models are merged by name, in first-seen order.
+    Equality compares the columns.
+    """
+
+    _COLUMNS = ("request_id", "arrival_s", "model", "input_index")
+    __slots__ = _COLUMNS + ("models",)
+
+    def __init__(
+        self,
+        request_id: np.ndarray,
+        arrival_s: np.ndarray,
+        model: np.ndarray,
+        input_index: np.ndarray,
+        models: tuple[str, ...],
+    ) -> None:
+        self.request_id = np.asarray(request_id, dtype=np.int64)
+        self.arrival_s = np.asarray(arrival_s, dtype=float)
+        self.model = np.asarray(model, dtype=np.intp)
+        self.input_index = np.asarray(input_index, dtype=np.int64)
+        self.models = tuple(models)
+
+    @classmethod
+    def from_requests(cls, requests: Iterable[Request]) -> "RequestColumns":
+        """The columns of ``requests`` (columns are returned unchanged)."""
+        if isinstance(requests, RequestColumns):
+            return requests
+        requests = list(requests)
+        codes: dict[str, int] = {}
+        for request in requests:
+            codes.setdefault(request.model, len(codes))
+        return cls(
+            [request.request_id for request in requests],
+            [request.arrival_s for request in requests],
+            [codes[request.model] for request in requests],
+            [-1 if request.input_index is None else request.input_index
+             for request in requests],
+            tuple(codes),
+        )
+
+    def __len__(self) -> int:
+        return self.request_id.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RequestColumns):
+            return NotImplemented
+        return self.models == other.models and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self._COLUMNS
+        )
+
+    __hash__ = None  # mutable: append() replaces the columns
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        input_index = self.input_index.item(index)
+        return Request(
+            self.request_id.item(index),
+            self.models[self.model.item(index)],
+            self.arrival_s.item(index),
+            None if input_index < 0 else input_index,
+        )
+
+    def __iter__(self):
+        models = self.models
+        for request_id, arrival_s, model, input_index in zip(
+            self.request_id.tolist(), self.arrival_s.tolist(),
+            self.model.tolist(), self.input_index.tolist(),
+        ):
+            yield Request(
+                request_id, models[model], arrival_s,
+                None if input_index < 0 else input_index,
+            )
+
+    def take(self, rows: np.ndarray) -> "RequestColumns":
+        """The requests at ``rows``, in that order."""
+        return RequestColumns(
+            self.request_id[rows], self.arrival_s[rows], self.model[rows],
+            self.input_index[rows], self.models,
+        )
+
+    def recoded(self, models: tuple[str, ...]) -> "RequestColumns":
+        """The same requests with model codes into ``models``.
+
+        A model missing from ``models`` gets code ``-1``.
         """
-        request = _new_object(Request)
-        _set_request_id(request, request_id)
-        _set_model(request, model)
-        _set_arrival_s(request, arrival_s)
-        _set_input_index(request, input_index)
-        return request
+        if models == self.models:
+            return self
+        codes = np.asarray(
+            [models.index(name) if name in models else -1 for name in self.models],
+            dtype=np.intp,
+        )
+        return RequestColumns(
+            self.request_id, self.arrival_s, codes[self.model], self.input_index, models
+        )
 
+    def __add__(self, other) -> "RequestColumns":
+        other = RequestColumns.from_requests(other)
+        models = self.models + tuple(m for m in other.models if m not in self.models)
+        first, second = self.recoded(models), other.recoded(models)
+        return RequestColumns(
+            *(
+                np.concatenate((getattr(first, name), getattr(second, name)))
+                for name in self._COLUMNS
+            ),
+            models,
+        )
 
-_new_object = object.__new__
-_set_request_id, _set_model, _set_arrival_s, _set_input_index = (
-    Request.request_id.__set__,
-    Request.model.__set__,
-    Request.arrival_s.__set__,
-    Request.input_index.__set__,
-)
+    def __radd__(self, other) -> "RequestColumns":
+        return RequestColumns.from_requests(other) + self
+
+    def append(self, request: Request) -> None:
+        """Add ``request`` at the end."""
+        joined = self + [request]
+        for name in self.__slots__:
+            setattr(self, name, getattr(joined, name))
 
 
 @dataclass(frozen=True)
@@ -165,8 +270,7 @@ class Batch:
         return self.dispatch_s + self.latency_s
 
 
-@dataclass(frozen=True)
-class DeadlineEvent:
+class DeadlineEvent(NamedTuple):
     """The max-wait deadline of a queue head expires.
 
     Deadline events are advisory wake-ups: the handler re-checks the queue
@@ -179,15 +283,13 @@ class DeadlineEvent:
     request_id: int
 
 
-@dataclass(frozen=True)
-class CompletionEvent:
-    """A worker finishes a batch and becomes available again."""
+class CompletionEvent(NamedTuple):
+    """A worker finishes batch ``batch_id`` and becomes available again."""
 
-    batch: Batch
+    batch_id: int
 
 
-@dataclass(frozen=True)
-class WorkerDownEvent:
+class WorkerDownEvent(NamedTuple):
     """A worker leaves service: a crash or a permanent drain.
 
     A crash repairs after an exponentially distributed outage (a matching
@@ -200,15 +302,13 @@ class WorkerDownEvent:
     cause: str = "crash"  # "crash" | "drain"
 
 
-@dataclass(frozen=True)
-class WorkerUpEvent:
+class WorkerUpEvent(NamedTuple):
     """A crashed worker finishes repair and rejoins the fleet."""
 
     worker_id: int
 
 
-@dataclass(frozen=True)
-class ThrottleStartEvent:
+class ThrottleStartEvent(NamedTuple):
     """A transient thermal-throttle episode begins on a worker.
 
     While throttled the worker keeps serving, but every batch *dispatched*
@@ -223,21 +323,19 @@ class ThrottleStartEvent:
     episode: int
 
 
-@dataclass(frozen=True)
-class ThrottleEndEvent:
+class ThrottleEndEvent(NamedTuple):
     """A thermal-throttle episode ends (advisory; checked against state)."""
 
     worker_id: int
     episode: int
 
 
-@dataclass(frozen=True)
-class RetryEvent:
+class RetryEvent(NamedTuple):
     """A request from a lost batch re-enters its admission queue.
 
     Scheduled only when the :class:`~repro.serve.faults.RetryPolicy` has a
     non-zero backoff; zero-backoff retries re-queue synchronously at the
-    crash instant instead.
+    crash instant instead.  ``row`` indexes the run's request columns.
     """
 
-    request: Request
+    row: int

@@ -2,9 +2,9 @@
 
 :class:`ServingRuntime` is the deterministic discrete-event loop composing
 the other :mod:`repro.serve` pieces: seeded traffic produces
-:class:`~repro.serve.events.Request` arrivals, per-model
-:class:`~repro.serve.batcher.MicroBatcher` queues form dynamic micro-batches
-under a :class:`~repro.serve.batcher.BatchPolicy`, and a
+:class:`~repro.serve.events.RequestColumns` of arrivals, per-model FIFO
+admission queues form dynamic micro-batches under a
+:class:`~repro.serve.batcher.BatchPolicy`, and a
 :class:`~repro.serve.workers.WorkerPool` of simulated accelerators prices
 every dispatch with the analytic
 :meth:`~repro.arch.accelerator.PhotonicAccelerator.batch_latency_s` model
@@ -25,12 +25,23 @@ Dispatch discipline (the usual dynamic-batching rule):
 * across models, the queue whose head has waited longest goes first
   (FIFO fairness; ties break on model name, then the event order).
 
+Arrivals are admitted in *spans*.  Between two scheduled events (a
+completion, deadline, fault or retry) only three kinds of arrival change
+the state of the loop: one that makes its queue non-empty (it arms the
+head's deadline), one that fills a batch (it re-arbitrates), and one that
+brings its queue to ``max_queue_depth`` (every later arrival of that model
+is shed until the next scheduled event).  The loop finds the next such
+arrival with ``searchsorted`` over each model's arrival rows and admits
+or sheds everything before it as one range, so its work is per batch, not
+per request.
+
 With a :class:`~repro.serve.faults.FaultInjector` attached, worker
 lifecycle events (crash/repair, thermal throttle, permanent drain) join the
 same event queue: a crash loses the in-flight batch (its requests retry
 under the :class:`~repro.serve.faults.RetryPolicy` or terminally fail), a
 throttled worker's dispatches are priced at its derate, and a down worker
-is skipped by dispatch arbitration until repaired.
+is skipped by dispatch arbitration until repaired.  Retried requests wait
+in a small deque ahead of their queue's ranges.
 
 :func:`serve_trace` is the one-call entry point for the common single-model
 scenario; drive :class:`ServingRuntime` directly for multi-model fleets.
@@ -39,15 +50,16 @@ scenario; drive :class:`ServingRuntime` directly for multi-model fleets.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping
-from operator import attrgetter
+from bisect import bisect_left
+from collections import deque
+from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.arch.accelerator import PhotonicAccelerator
 from repro.nn.model import Sequential, SiameseModel
-from repro.serve.batcher import BatchPolicy, MicroBatcher
+from repro.serve.batcher import BatchPolicy
 from repro.serve.clock import (
     COMPLETION_PRIORITY,
     DEADLINE_PRIORITY,
@@ -56,19 +68,18 @@ from repro.serve.clock import (
     SimulationClock,
 )
 from repro.serve.events import (
-    Batch,
     CompletionEvent,
     DeadlineEvent,
     Request,
+    RequestColumns,
     RetryEvent,
     ThrottleEndEvent,
     ThrottleStartEvent,
-    TraceEvent,
     WorkerDownEvent,
     WorkerUpEvent,
 )
 from repro.serve.faults import FaultInjector, FaultModel, RetryPolicy
-from repro.serve.metrics import MetricsCollector, ServingReport
+from repro.serve.metrics import FailureRecord, MetricsCollector, ServingReport
 from repro.serve.traffic import TrafficProcess
 from repro.serve.workers import AcceleratorWorker, WorkerPool
 from repro.sim.noise import NoiseStack
@@ -79,17 +90,6 @@ from repro.utils.validation import check_positive_int
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs uses clock)
     from repro.obs import Observability
 
-_new_tuple = tuple.__new__
-
-
-def _entry(*fields) -> TraceEvent:
-    """A loop-internal :class:`TraceEvent`.
-
-    The loop writes only known kinds at float times, so its entries skip
-    ``TraceEvent.__new__``'s per-entry kind lookup and float conversion.
-    """
-    return _new_tuple(TraceEvent, fields)
-
 
 def requests_from_traffic(
     traffic: TrafficProcess,
@@ -98,19 +98,17 @@ def requests_from_traffic(
     *,
     start_id: int = 0,
     n_inputs: int | None = None,
-) -> list[Request]:
-    """Materialise a traffic process into :class:`Request` records.
+) -> RequestColumns:
+    """Materialise a traffic process into :class:`RequestColumns`.
 
-    ``n_inputs`` attaches a dataset index to each request (round-robin over
-    the dataset) so workers with inference engines can compute functional
-    outputs.
+    Request ids run from ``start_id`` in arrival order.  ``n_inputs``
+    attaches a dataset index to each request (round-robin over the dataset)
+    so workers with inference engines can compute functional outputs.
 
     Window-edge rejection happens here, at materialisation: an arrival at
     or beyond ``traffic.duration_s`` is a contract violation of the traffic
     process itself, so it raises immediately with the process named, rather
-    than surfacing later as an obscure event-loop error.  The window and
-    the sign are checked once on the whole array, which is what lets the
-    records themselves skip :class:`Request`'s per-instance check.
+    than surfacing later as an obscure event-loop error.
     """
     times = np.asarray(traffic.arrival_times(np.random.default_rng(seed)), dtype=float)
     late = times[times >= traffic.duration_s]
@@ -122,12 +120,111 @@ def requests_from_traffic(
     negative = times[times < 0]
     if negative.size:
         raise ValueError(f"arrival_s must be >= 0, got {float(negative[0])}")
-    return [
-        Request.unchecked(
-            request_id, model, time, None if n_inputs is None else request_id % n_inputs
-        )
-        for request_id, time in zip(range(start_id, start_id + times.size), times.tolist())
-    ]
+    request_id = np.arange(start_id, start_id + times.size, dtype=np.int64)
+    return RequestColumns(
+        request_id,
+        times,
+        np.zeros(times.size, dtype=np.intp),
+        np.full(times.size, -1) if n_inputs is None else request_id % n_inputs,
+        (model,),
+    )
+
+
+class _ModelQueue:
+    """One model's FIFO admission queue over rows of the request columns.
+
+    ``rows`` are the model's request rows in arrival order (``positions``
+    holds them as a list, for ``bisect``) and ``offered`` counts how many
+    of them the loop has taken.  Admitted arrivals wait as
+    ``[start, stop)`` ranges of ``rows`` indices; shedding leaves a gap
+    between ranges.  Retried rows wait in ``front``, ahead of the ranges.
+    """
+
+    __slots__ = (
+        "name", "code", "rows", "positions", "offered", "front", "ranges", "depth",
+        "peak_depth",
+    )
+
+    def __init__(self, name: str, code: int, rows: np.ndarray) -> None:
+        self.name = name
+        self.code = code
+        self.rows = rows
+        self.positions = rows.tolist()
+        self.offered = 0
+        self.front: deque[int] = deque()
+        self.ranges: deque[list[int]] = deque()
+        self.depth = 0
+        self.peak_depth = 0
+
+    def until_change(self, max_batch_size: int, max_queue_depth: int | None) -> int | None:
+        """How many more arrivals until one changes the loop's state.
+
+        ``None`` when none can: the queue is full (every arrival is shed)
+        or already holds a full batch with no admission limit.
+        """
+        depth = self.depth
+        if depth == 0:
+            return 1
+        if max_queue_depth is not None:
+            if depth >= max_queue_depth:
+                return None
+            if depth >= max_batch_size:
+                return max_queue_depth - depth
+            return min(max_batch_size, max_queue_depth) - depth
+        return max_batch_size - depth if depth < max_batch_size else None
+
+    def admit(self, count: int) -> None:
+        """Admit the model's next ``count`` arrivals at the back."""
+        start = self.offered
+        self.offered = stop = start + count
+        ranges = self.ranges
+        if ranges and ranges[-1][1] == start:
+            ranges[-1][1] = stop
+        else:
+            ranges.append([start, stop])
+        self.depth += count
+        if self.depth > self.peak_depth:
+            self.peak_depth = self.depth
+
+    def shed(self, count: int) -> np.ndarray:
+        """Reject the model's next ``count`` arrivals; returns their rows."""
+        start = self.offered
+        self.offered = start + count
+        return self.rows[start:start + count]
+
+    def requeue_front(self, row: int) -> None:
+        """Re-admit a retried row at the head, outside the admission limit."""
+        self.front.appendleft(row)
+        self.depth += 1
+        if self.depth > self.peak_depth:
+            self.peak_depth = self.depth
+
+    def head(self) -> int:
+        """The row at the head of the (non-empty) queue."""
+        return self.front[0] if self.front else self.positions[self.ranges[0][0]]
+
+    def pop(self, size: int) -> np.ndarray:
+        """Remove the ``size`` oldest rows (``size <= depth``)."""
+        self.depth -= size
+        parts = []
+        front = self.front
+        while front and size:
+            parts.append(front.popleft())
+            size -= 1
+        if parts:
+            parts = [np.asarray(parts, dtype=np.intp)]
+        ranges = self.ranges
+        while size:
+            span = ranges[0]
+            start, stop = span
+            take = min(size, stop - start)
+            parts.append(self.rows[start:start + take])
+            if take == stop - start:
+                ranges.popleft()
+            else:
+                span[0] = start + take
+            size -= take
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class ServingRuntime:
@@ -165,12 +262,12 @@ class ServingRuntime:
         when faults are active.
     obs:
         Optional :class:`~repro.obs.Observability` bundle.  The handlers
-        write only the run record (event trace and report); the
-        ``serve.runtime.*`` metrics and the Perfetto timeline (simulated
-        seconds = trace microseconds; one "thread" per worker) are
-        projected from the finished report after the loop, so they cannot
-        change a simulated result.  The profiler is the one pillar inside
-        the loop: it times each handler on the wall clock.
+        write only the run record; the ``serve.runtime.*`` metrics and the
+        Perfetto timeline (simulated seconds = trace microseconds; one
+        "thread" per worker) are projected from the finished report after
+        the loop, so they cannot change a simulated result.  The profiler
+        is the one pillar inside the loop: it times each span of arrivals
+        and each event handler on the wall clock.
     """
 
     def __init__(
@@ -222,8 +319,15 @@ class ServingRuntime:
             workloads,
         )
         # Ordered model list makes cross-queue tie-breaking deterministic.
-        self._batchers = {
-            name: MicroBatcher(name, policy) for name in workloads
+        self._models = tuple(workloads)
+        self._handlers = {
+            CompletionEvent: self._handle_completion,
+            DeadlineEvent: self._handle_deadline,
+            WorkerDownEvent: self._handle_worker_down,
+            WorkerUpEvent: self._handle_worker_up,
+            ThrottleStartEvent: self._handle_throttle_start,
+            ThrottleEndEvent: self._handle_throttle_end,
+            RetryEvent: self._handle_retry,
         }
         self._ran = False
         self.obs = obs
@@ -233,7 +337,7 @@ class ServingRuntime:
     # ------------------------------------------------------------------ #
     def run(
         self,
-        requests: list[Request],
+        requests: RequestColumns | Iterable[Request],
         duration_s: float,
         *,
         drain: bool = True,
@@ -241,11 +345,19 @@ class ServingRuntime:
     ) -> ServingReport:
         """Serve ``requests`` and reduce the run to a :class:`ServingReport`.
 
-        ``requests`` need not be sorted: the loop takes them in arrival
-        order, and requests with equal ``arrival_s`` arrive in list order.
-        An arrival runs after every scheduled event (completion, fault,
-        retry, deadline) at the same instant, so a worker freed at ``t`` is
-        idle for an arrival at ``t``.
+        ``requests`` are :class:`RequestColumns` or any iterable of
+        :class:`Request` (converted to columns first); they need not be
+        sorted.  The loop takes them in arrival order, and requests with
+        equal ``arrival_s`` arrive in input order.  An arrival runs after
+        every scheduled event (completion, fault, retry, deadline) at the
+        same instant, so a worker freed at ``t`` is idle for an arrival at
+        ``t``.
+
+        Arrivals are admitted in spans: the loop jumps its arrival cursor
+        to the next arrival that arms a deadline, fills a batch or fills
+        its queue, or to the next scheduled event, whichever comes first,
+        and admits (or, at a full queue, sheds) every arrival before it at
+        once.  Each arrival still counts as one processed event.
 
         ``drain=True`` keeps serving after the traffic window until every
         admitted request completes (the report horizon extends to the last
@@ -260,64 +372,121 @@ class ServingRuntime:
             # streams); a fresh runtime keeps every run reproducible.
             raise RuntimeError("a ServingRuntime instance runs once; build a fresh one")
         self._ran = True
-        for model in {request.model for request in requests}:
-            if model not in self._batchers:
-                raise KeyError(f"no workloads registered for model {model!r}")
+        columns = self._admission_order(RequestColumns.from_requests(requests))
+        n_requests = len(columns)
+        arrival_s = columns.arrival_s
+        arrivals = self._arrivals = arrival_s.tolist()
+        self._request_id = columns.request_id
+        self._input_index = columns.input_index
+        queues = self._queues = [
+            _ModelQueue(name, code, np.flatnonzero(columns.model == code))
+            for code, name in enumerate(self._models)
+        ]
+        self._queue_of = {queue.name: queue for queue in queues}
+        self._row_model = columns.model
         clock = SimulationClock()
         profiler = self.obs.profiler if self.obs is not None else None
-        queue = profiler.instrument_queue() if profiler is not None else EventQueue()
-        metrics = MetricsCollector()
-        trace: list[TraceEvent] = []
-        outputs: dict[int, int] = {}
-        self._next_batch_id = 0
+        queue = self._queue = profiler.instrument_queue() if profiler is not None else EventQueue()
+        metrics = self._metrics = MetricsCollector()
+        self._trace_cursor = metrics.trace_cursor
+        self._trace_entries = metrics.trace_entries
+        self._outputs: dict[int, int] = {}
         self._last_completion_s = 0.0
+        self._cursor = 0
         # Fault bookkeeping (touched only when an enabled injector is
-        # attached, so the fault-free hot loop stays unchanged).
+        # attached).
         self._faults_active = self.injector is not None and self.injector.enabled
-        self._in_flight: dict[int, Batch] = {}
+        self._in_flight: dict[int, int] = {}
         self._lost_batches: set[int] = set()
-        self._attempts: dict[int, int] = {}
-        self._retried: set[int] = set()
+        self._attempts = np.zeros(n_requests, dtype=np.intp)
+        self._retried = np.zeros(n_requests, dtype=bool)
         if self._faults_active:
             self.injector.schedule(queue, len(self.pool), duration_s)
 
-        # Arrivals never enter the event queue: a cursor over the stably
-        # sorted requests is merged against the queue head, and an arrival
-        # goes first only when it is strictly earlier.
-        arrivals = sorted(requests, key=attrgetter("arrival_s"))
-        n_arrivals = len(arrivals)
-        next_arrival = 0
-        arrival_s = arrivals[0].arrival_s if arrivals else 0.0
-        events_processed = 0
+        shed = np.zeros(n_requests, dtype=bool)
+        max_batch_size = self.policy.max_batch_size
+        max_queue_depth = self.policy.max_queue_depth
+        max_wait_s = self.policy.max_wait_s
+        handlers = self._handlers
+        # Under drain=False nothing after the window runs, arrivals included.
+        last_arrival = (
+            n_requests if drain else int(arrival_s.searchsorted(duration_s, side="right"))
+        )
+        # The heap is read directly: its head is looked at once per step.
+        heap = queue._heap
+        cursor = events_processed = 0
         if profiler is not None:
             profiler.start()
         wall_ns0 = time.perf_counter_ns()
         while True:
-            event_s = queue.peek_time_s()
-            if next_arrival < n_arrivals and (event_s is None or arrival_s < event_s):
-                time_s = arrival_s
-                payload = arrivals[next_arrival]
-                next_arrival += 1
-                if next_arrival < n_arrivals:
-                    arrival_s = arrivals[next_arrival].arrival_s
-            elif event_s is not None:
-                time_s = event_s
-                payload = None
+            event_s = heap[0][0] if heap else None
+            if event_s is None:
+                limit = last_arrival
+            elif cursor < last_arrival and arrivals[cursor] < event_s:
+                limit = bisect_left(arrivals, event_s, cursor, last_arrival)
             else:
+                limit = cursor
+            if cursor < limit:
+                # A span: every arrival strictly before the next event, up
+                # to and including the first one that changes the loop's
+                # state.
+                span_ns0 = time.perf_counter_ns() if profiler is not None else 0
+                stop, changed, changed_count = limit, None, 0
+                for model_queue in queues:
+                    count = model_queue.until_change(max_batch_size, max_queue_depth)
+                    if count is not None:
+                        index = model_queue.offered + count - 1
+                        positions = model_queue.positions
+                        if index < len(positions) and positions[index] < stop:
+                            stop, changed, changed_count = positions[index], model_queue, count
+                span_start = cursor
+                for model_queue in queues:
+                    if model_queue is changed:
+                        count = changed_count
+                    else:
+                        offered = model_queue.offered
+                        count = bisect_left(model_queue.positions, stop, offered) - offered
+                    if not count:
+                        continue
+                    if max_queue_depth is not None and model_queue.depth >= max_queue_depth:
+                        shed[model_queue.shed(count)] = True
+                    else:
+                        model_queue.admit(count)
+                cursor = stop
+                if changed is not None:
+                    now = clock.advance_to(arrivals[cursor])
+                    cursor += 1
+                    self._cursor = cursor
+                    if changed.depth == 1:
+                        # New queue head: arm its max-wait deadline wake-up.
+                        queue.push(
+                            now + max_wait_s, DEADLINE_PRIORITY,
+                            DeadlineEvent(changed.name, self._request_id.item(cursor - 1)),
+                        )
+                    if changed.depth == max_batch_size:
+                        # Every same-instant completion, fault, retry and
+                        # deadline has already run and left no legal
+                        # (batch, idle worker) pair behind, so only an
+                        # arrival that fills a batch can make one.
+                        self._dispatch_ready(now)
+                self._cursor = cursor
+                events_processed += cursor - span_start
+                if profiler is not None:
+                    profiler.record(
+                        "ArrivalEvent", time.perf_counter_ns() - span_ns0, cursor - span_start
+                    )
+                continue
+            if event_s is None or (not drain and event_s > duration_s):
                 break
-            if not drain and time_s > duration_s:
-                break
-            if payload is None:
-                payload = queue.pop()[3]
-            clock.advance_to(time_s)
+            payload = queue.pop()[3]
+            now = clock.advance_to(event_s)
             events_processed += 1
             if profiler is None:
-                self._process_event(payload, clock, queue, metrics, trace, outputs)
+                handlers[type(payload)](payload, now)
             else:
                 t0 = time.perf_counter_ns()
-                self._process_event(payload, clock, queue, metrics, trace, outputs)
-                kind = "ArrivalEvent" if isinstance(payload, Request) else type(payload).__name__
-                profiler.record(kind, time.perf_counter_ns() - t0)
+                handlers[type(payload)](payload, now)
+                profiler.record(type(payload).__name__, time.perf_counter_ns() - t0)
         wall_time_s = (time.perf_counter_ns() - wall_ns0) * 1e-9
         if profiler is not None:
             profiler.stop()
@@ -326,14 +495,14 @@ class ServingRuntime:
         # A lost batch's stale CompletionEvent is not work in flight -- its
         # requests are already accounted as retried (queued) or failed.
         n_in_flight = sum(
-            entry[3].batch.size
+            metrics.members[entry[3].batch_id].size
             for entry in pending
             if isinstance(entry[3], CompletionEvent)
-            and entry[3].batch.batch_id not in self._lost_batches
+            and entry[3].batch_id not in self._lost_batches
         )
         # A retry still waiting out its backoff at the cutoff is queued
         # work: admitted, not in flight, not yet terminal.
-        n_queued = sum(len(batcher) for batcher in self._batchers.values()) + sum(
+        n_queued = sum(model_queue.depth for model_queue in queues) + sum(
             1 for entry in pending if isinstance(entry[3], RetryEvent)
         )
         # The drained horizon ends at the last *completion*, not the clock:
@@ -351,8 +520,10 @@ class ServingRuntime:
             else sum(worker_power_w) / len(worker_power_w)
         )
         report = metrics.finalize(
+            requests=columns.take(slice(0, cursor)),
+            shed=shed[:cursor],
             accelerator=self.accelerator.name,
-            models=tuple(self._batchers),
+            models=self._models,
             traffic=traffic_description,
             policy=self.policy.describe(),
             n_workers=len(self.pool),
@@ -362,11 +533,8 @@ class ServingRuntime:
             n_queued_end=n_queued,
             n_in_flight_end=n_in_flight,
             worker_busy_s=self.pool.busy_s_per_worker,
-            peak_queue_depth=max(
-                batcher.peak_depth for batcher in self._batchers.values()
-            ),
-            event_trace=tuple(trace),
-            outputs=outputs if self.functional else None,
+            peak_queue_depth=max(model_queue.peak_depth for model_queue in queues),
+            outputs=self._outputs if self.functional else None,
             faults=self.injector.describe() if self._faults_active else "none",
             worker_power_w=worker_power_w,
             worker_downtime_s=self.pool.downtime_s_per_worker(horizon_s),
@@ -374,105 +542,72 @@ class ServingRuntime:
             wall_time_s=wall_time_s,
         )
         if self.obs is not None:
-            _observe(self.obs, report, requests, self.retry.backoff_s)
+            _observe(self.obs, report, self.retry.backoff_s)
         return report
+
+    def _admission_order(self, columns: RequestColumns) -> RequestColumns:
+        """``columns`` stably sorted by arrival, coded by this runtime's models."""
+        for code in np.unique(columns.model).tolist():
+            if columns.models[code] not in self._models:
+                raise KeyError(f"no workloads registered for model {columns.models[code]!r}")
+        order = np.argsort(columns.arrival_s, kind="stable")
+        return columns.recoded(self._models).take(order)
+
+    def _trace(self, *entry) -> None:
+        """Write one non-arrival trace entry at the current arrival cursor."""
+        self._trace_cursor.append(self._cursor)
+        self._trace_entries.append(entry)
 
     # ------------------------------------------------------------------ #
     # Handlers
     # ------------------------------------------------------------------ #
-    def _process_event(self, payload, clock, queue, metrics, trace, outputs) -> None:
-        """Dispatch one arrival or popped event to its handler (the loop body)."""
-        if isinstance(payload, Request):
-            self._handle_arrival(payload, clock, queue, metrics, trace)
-        elif isinstance(payload, CompletionEvent):
-            self._handle_completion(
-                payload.batch, clock, queue, metrics, trace, outputs
-            )
-        elif isinstance(payload, DeadlineEvent):
-            self._handle_deadline(payload, clock, queue, metrics, trace, outputs)
-        elif isinstance(payload, WorkerDownEvent):
-            self._handle_worker_down(payload, clock, queue, metrics, trace)
-        elif isinstance(payload, WorkerUpEvent):
-            self._handle_worker_up(payload, clock, queue, trace)
-        elif isinstance(payload, ThrottleStartEvent):
-            self._handle_throttle_start(payload, clock, trace)
-        elif isinstance(payload, ThrottleEndEvent):
-            self._handle_throttle_end(payload, clock, trace)
-        elif isinstance(payload, RetryEvent):
-            self._handle_retry(payload, clock, queue, trace)
-        else:  # pragma: no cover - the loop schedules only these kinds
-            raise TypeError(f"unknown event payload {payload!r}")
-
-    def _handle_arrival(self, request, clock, queue, metrics, trace) -> None:
-        metrics.record_arrival(request)
-        now = clock.now_s
-        batcher = self._batchers[request.model]
-        if not batcher.offer(request, now):
-            metrics.record_shed(request)
-            trace.append(_entry(now, "shed", request.request_id))
-            return
-        trace.append(_entry(now, "arrival", request.request_id))
-        depth = len(batcher)
-        if depth == 1:
-            # New queue head: arm its max-wait deadline wake-up.
-            queue.push(
-                batcher.head_deadline_s,
-                DEADLINE_PRIORITY,
-                DeadlineEvent(request.model, request.request_id),
-            )
-        if depth == self.policy.max_batch_size:
-            # Re-arbitrate only when this arrival filled a batch.  Every
-            # other handler leaves no legal (batch, idle worker) pair behind
-            # it, and every same-instant completion, fault, retry and
-            # deadline has already run, so an arrival that leaves its queue
-            # short of a full batch cannot make a dispatch legal.
-            self._dispatch_ready(clock, queue, trace)
-
-    def _handle_deadline(self, event, clock, queue, metrics, trace, outputs) -> None:
+    def _handle_deadline(self, event, now) -> None:
         # Advisory wake-up: the armed head may already have dispatched in a
         # full batch, so only act when the queue really holds a due batch.
-        batcher = self._batchers[event.model]
-        if batcher.due(clock.now_s):
-            self._dispatch_ready(clock, queue, trace)
+        model_queue = self._queue_of[event.model]
+        if model_queue.depth and now >= self._head_deadline_s(model_queue):
+            self._dispatch_ready(now)
 
-    def _handle_completion(self, batch, clock, queue, metrics, trace, outputs) -> None:
+    def _handle_completion(self, event, now) -> None:
+        batch_id = event.batch_id
+        metrics = self._metrics
+        members = metrics.members[batch_id]
+        worker = self.pool.workers[metrics.batch_worker[batch_id]]
         n_retried = 0
         if self._faults_active:
-            if batch.batch_id in self._lost_batches:
+            if batch_id in self._lost_batches:
                 # The worker crashed mid-flight; the batch produced nothing
                 # and its requests already flowed into retry/fail.
-                self._lost_batches.discard(batch.batch_id)
+                self._lost_batches.discard(batch_id)
                 return
-            self._in_flight.pop(batch.worker_id, None)
-            if self._retried:
-                n_retried = sum(
-                    1
-                    for request in batch.requests
-                    if request.request_id in self._retried
-                )
-        metrics.record_batch(batch, n_retried)
-        self.pool.workers[batch.worker_id].record_completion(batch.latency_s, batch.size)
-        self._last_completion_s = clock.now_s
-        trace.append(_entry(clock.now_s, "complete", batch.batch_id))
-        functional = self.functional.get(batch.model)
+            self._in_flight.pop(worker.worker_id, None)
+            if metrics.n_retries:
+                n_retried = int(np.count_nonzero(self._retried[members]))
+        metrics.record_completion(batch_id, n_retried)
+        worker.record_completion(metrics.latency_s[batch_id], members.size)
+        self._last_completion_s = now
+        self._trace(now, "complete", batch_id)
+        model = self._models[metrics.batch_model[batch_id]]
+        functional = self.functional.get(model) if self.functional else None
         if functional is not None:
-            model, inputs = functional
-            worker = self.pool.workers[batch.worker_id]
-            indices = [request.input_index for request in batch.requests]
-            if any(index is None for index in indices):
+            model_object, inputs = functional
+            indices = self._input_index[members]
+            if np.any(indices < 0):
                 raise ValueError(
-                    f"functional model {batch.model!r} received requests "
+                    f"functional model {model!r} received requests "
                     "without input_index"
                 )
-            predictions = worker.predict(model, inputs[indices])
-            for request, prediction in zip(batch.requests, predictions):
-                outputs[request.request_id] = int(prediction)
-        self._dispatch_ready(clock, queue, trace)
+            predictions = worker.predict(model_object, inputs[indices])
+            for request_id, prediction in zip(
+                self._request_id[members].tolist(), predictions.tolist()
+            ):
+                self._outputs[request_id] = int(prediction)
+        self._dispatch_ready(now)
 
     # ------------------------------------------------------------------ #
     # Fault handlers
     # ------------------------------------------------------------------ #
-    def _handle_worker_down(self, event, clock, queue, metrics, trace) -> None:
+    def _handle_worker_down(self, event, now) -> None:
         worker = self.pool.workers[event.worker_id]
         if worker.state == "down":
             # A drain landing during an outage makes it permanent; a crash
@@ -480,50 +615,46 @@ class ServingRuntime:
             if event.cause == "drain":
                 worker.drained = True
             return
-        worker.mark_down(clock.now_s, drained=event.cause == "drain")
-        trace.append(
-            _entry(clock.now_s, "worker_down", event.worker_id, event.cause)
-        )
-        batch = self._in_flight.pop(event.worker_id, None)
-        if batch is None:
+        worker.mark_down(now, drained=event.cause == "drain")
+        self._trace(now, "worker_down", event.worker_id, event.cause)
+        batch_id = self._in_flight.pop(event.worker_id, None)
+        if batch_id is None:
             return
         # The in-flight batch dies with the worker: its completion event is
         # disarmed, the partial busy time/energy it burned is real (wasted)
         # fleet cost, and its requests retry or terminally fail.
-        self._lost_batches.add(batch.batch_id)
-        elapsed_s = clock.now_s - batch.dispatch_s
-        worker.record_lost(elapsed_s, clock.now_s)
+        metrics = self._metrics
+        members = metrics.members[batch_id]
+        self._lost_batches.add(batch_id)
+        elapsed_s = now - metrics.dispatch_s[batch_id]
+        worker.record_lost(elapsed_s, now)
         metrics.record_lost_batch(
-            batch,
-            wasted_busy_s=elapsed_s,
-            wasted_energy_j=worker.power_w * elapsed_s,
+            wasted_busy_s=elapsed_s, wasted_energy_j=worker.power_w * elapsed_s
         )
-        trace.append(
-            _entry(clock.now_s, "batch_lost", batch.batch_id, worker.worker_id, batch.size)
-        )
-        self._retry_or_fail(batch, clock, queue, metrics, trace)
+        self._trace(now, "batch_lost", batch_id, worker.worker_id, members.size)
+        self._retry_or_fail(members, now)
         # Every synchronous retry is back in its queue now; a survivor may
         # be idle, and a re-formed full batch must not wait for a deadline.
-        self._dispatch_ready(clock, queue, trace)
+        self._dispatch_ready(now)
 
-    def _handle_worker_up(self, event, clock, queue, trace) -> None:
+    def _handle_worker_up(self, event, now) -> None:
         worker = self.pool.workers[event.worker_id]
-        if worker.state != "down" or not worker.mark_up(clock.now_s):
+        if worker.state != "down" or not worker.mark_up(now):
             return  # stale repair: the worker was drained in the meantime
-        trace.append(_entry(clock.now_s, "worker_up", event.worker_id))
-        self._dispatch_ready(clock, queue, trace)
+        self._trace(now, "worker_up", event.worker_id)
+        self._dispatch_ready(now)
 
-    def _handle_throttle_start(self, event, clock, trace) -> None:
+    def _handle_throttle_start(self, event, now) -> None:
         worker = self.pool.workers[event.worker_id]
         if worker.throttle(event.derate, event.episode):
-            trace.append(_entry(clock.now_s, "throttle_start", event.worker_id, event.derate))
+            self._trace(now, "throttle_start", event.worker_id, event.derate)
 
-    def _handle_throttle_end(self, event, clock, trace) -> None:
+    def _handle_throttle_end(self, event, now) -> None:
         worker = self.pool.workers[event.worker_id]
         if worker.unthrottle(event.episode):
-            trace.append(_entry(clock.now_s, "throttle_end", event.worker_id))
+            self._trace(now, "throttle_end", event.worker_id)
 
-    def _handle_retry(self, event, clock, queue, trace) -> None:
+    def _handle_retry(self, event, now) -> None:
         # Re-admission after backoff.  A *due* head waits for the deadline
         # wake-up armed by _requeue_front -- it fires at this same instant
         # but *after* every same-time retry (RETRY_PRIORITY beats
@@ -532,12 +663,12 @@ class ServingRuntime:
         # A re-formed *full* batch, however, dispatches immediately: full
         # batches never wait, and no deadline wake-up would catch one whose
         # head is not yet due.
-        trace.append(_entry(clock.now_s, "readmit", event.request.request_id))
-        self._requeue_front(event.request, clock, queue)
-        if self._batchers[event.request.model].has_full_batch():
-            self._dispatch_ready(clock, queue, trace)
+        self._trace(now, "readmit", self._request_id.item(event.row))
+        model_queue = self._requeue_front(event.row, now)
+        if model_queue.depth >= self.policy.max_batch_size:
+            self._dispatch_ready(now)
 
-    def _retry_or_fail(self, batch, clock, queue, metrics, trace) -> None:
+    def _retry_or_fail(self, members: np.ndarray, now: float) -> None:
         """Route every request of a lost batch into retry or terminal failure.
 
         Requests are walked in *reverse* batch order: each retried request
@@ -545,184 +676,303 @@ class ServingRuntime:
         the round trip.
         """
         backoff_s = self.retry.backoff_s
-        for request in reversed(batch.requests):
-            attempts = self._attempts.get(request.request_id, 1)
+        metrics = self._metrics
+        for row in reversed(members.tolist()):
+            attempts = self._attempts.item(row)
+            request_id = self._request_id.item(row)
             if attempts >= self.retry.max_attempts:
-                metrics.record_failed(request, clock.now_s, attempts)
-                trace.append(
-                    _entry(clock.now_s, "failed", request.request_id, attempts)
+                metrics.record_failed(
+                    FailureRecord(
+                        request_id=request_id,
+                        model=self._models[self._row_model.item(row)],
+                        arrival_s=self._arrivals[row],
+                        failed_s=now,
+                        attempts=attempts,
+                    )
                 )
+                self._trace(now, "failed", request_id, attempts)
                 continue
-            metrics.record_retry(request)
-            self._retried.add(request.request_id)
-            trace.append(
-                _entry(clock.now_s, "retry", request.request_id, attempts)
-            )
+            metrics.record_retry()
+            self._retried[row] = True
+            self._trace(now, "retry", request_id, attempts)
             if backoff_s > 0:
-                queue.push(
-                    clock.now_s + backoff_s, RETRY_PRIORITY, RetryEvent(request)
-                )
+                self._queue.push(now + backoff_s, RETRY_PRIORITY, RetryEvent(row))
             else:
-                self._requeue_front(request, clock, queue)
+                self._requeue_front(row, now)
 
-    def _requeue_front(self, request, clock, queue) -> None:
-        batcher = self._batchers[request.model]
-        batcher.requeue_front(request)
+    def _requeue_front(self, row: int, now: float) -> _ModelQueue:
+        model_queue = self._queues[self._row_model.item(row)]
+        model_queue.requeue_front(row)
         # The retried request is the new queue head and its original
         # max-wait deadline is long past, so the wake-up fires "now" --
         # giving it (and everything queued behind it) immediate dispatch
         # priority as soon as a worker is free.
-        queue.push(
-            max(clock.now_s, batcher.head_deadline_s),
+        self._queue.push(
+            max(now, self._head_deadline_s(model_queue)),
             DEADLINE_PRIORITY,
-            DeadlineEvent(request.model, request.request_id),
+            DeadlineEvent(model_queue.name, self._request_id.item(row)),
         )
+        return model_queue
 
     # ------------------------------------------------------------------ #
     # Dispatch arbitration
     # ------------------------------------------------------------------ #
-    def _dispatch_ready(self, clock, queue, trace) -> None:
+    def _head_deadline_s(self, model_queue: _ModelQueue) -> float:
+        return self._arrivals[model_queue.head()] + self.policy.max_wait_s
+
+    def _dispatch_ready(self, now) -> None:
         """Dispatch every (batch, idle worker) pairing currently legal."""
-        now = clock.now_s
+        policy = self.policy
+        arrivals = self._arrivals
         while True:
             worker = self.pool.idle_worker(now)
             if worker is None:
                 return
-            candidates = [
-                batcher
-                for batcher in self._batchers.values()
-                if batcher.dispatchable(now)
-            ]
-            if not candidates:
+            best = best_key = None
+            for model_queue in self._queues:
+                if not model_queue.depth:
+                    continue
+                head_s = arrivals[model_queue.head()]
+                if (
+                    model_queue.depth >= policy.max_batch_size
+                    or now >= head_s + policy.max_wait_s
+                ):
+                    key = (head_s, model_queue.name)
+                    if best is None or key < best_key:
+                        best, best_key = model_queue, key
+            if best is None:
                 return
-            batcher = min(
-                candidates, key=lambda b: (b.head.arrival_s, b.model)
-            )
-            self._dispatch_batch(batcher, worker, clock, queue, trace)
+            self._dispatch_batch(best, worker, now)
 
-    def _dispatch_batch(self, batcher, worker, clock, queue, trace) -> None:
-        now = clock.now_s
-        requests, deadline_triggered = batcher.pop_batch(now)
-        latency_s = self.pool.batch_latency_s(worker, batcher.model, len(requests))
+    def _dispatch_batch(self, model_queue, worker, now) -> None:
+        max_batch_size = self.policy.max_batch_size
+        deadline_triggered = model_queue.depth < max_batch_size
+        size = min(model_queue.depth, max_batch_size)
+        members = model_queue.pop(size)
+        latency_s = self.pool.batch_latency_s(worker, model_queue.name, size)
         if worker.derate != 1.0:
             # Thermal throttle: the episode's derate is priced into batches
             # *dispatched* during it (in-flight batches keep their price).
             latency_s *= worker.derate
-        batch = Batch(
-            batch_id=self._next_batch_id,
-            model=batcher.model,
-            requests=requests,
-            dispatch_s=now,
-            worker_id=worker.worker_id,
-            latency_s=latency_s,
-            energy_j=worker.batch_energy_j(latency_s),
-            deadline_triggered=deadline_triggered,
+        batch_id = self._metrics.record_dispatch(
+            model_queue.code, worker.worker_id, now, latency_s,
+            worker.batch_energy_j(latency_s), deadline_triggered, members,
         )
-        self._next_batch_id += 1
         worker.dispatch(latency_s, now)
         if self._faults_active:
-            self._in_flight[worker.worker_id] = batch
-            for request in requests:
-                self._attempts[request.request_id] = (
-                    self._attempts.get(request.request_id, 0) + 1
-                )
-        queue.push(batch.completion_s, COMPLETION_PRIORITY, CompletionEvent(batch))
-        trace.append(
-            _entry(now, "dispatch", batch.batch_id, worker.worker_id, batch.size, batch.model)
-        )
-        head = batcher.head
-        if head is not None:
+            self._in_flight[worker.worker_id] = batch_id
+            self._attempts[members] += 1
+        queue = self._queue
+        queue.push(now + latency_s, COMPLETION_PRIORITY, CompletionEvent(batch_id))
+        self._trace(now, "dispatch", batch_id, worker.worker_id, size, model_queue.name)
+        if model_queue.depth:
             # Re-arm the wake-up for the new queue head (it may already be
             # past due, in which case the event fires immediately "now").
             queue.push(
-                max(now, batcher.head_deadline_s),
+                max(now, self._head_deadline_s(model_queue)),
                 DEADLINE_PRIORITY,
-                DeadlineEvent(batcher.model, head.request_id),
+                DeadlineEvent(model_queue.name, self._request_id.item(model_queue.head())),
             )
 
 
-def _observe(
-    obs: "Observability",
-    report: ServingReport,
-    requests: list[Request],
-    backoff_s: float,
-) -> None:
+def _observe(obs: "Observability", report: ServingReport, backoff_s: float) -> None:
     """Project a finished run onto ``obs``'s metrics registry and tracer.
 
-    The metrics and the Perfetto trace are pure functions of the report and
-    the served requests, so enabling them cannot change a simulated result.
-    One pass over ``report.event_trace`` replays each model's queue depth
-    (an admitted arrival, a zero-backoff ``retry`` and a ``readmit`` add
-    one; a dispatch removes its batch) and emits every trace event at the
-    entry that produced it, so the export's ``(ts, emission order)`` sort
-    reproduces the loop's own order.  Simulated seconds are the trace
-    timebase; the runtime is thread 0 and worker ``w`` is thread ``w + 1``.
+    The metrics and the Perfetto trace are pure functions of the report, so
+    enabling them cannot change a simulated result.  Queue depth is
+    replayed from the columns with ``np.cumsum``: in event-trace order, an
+    admitted arrival, a zero-backoff ``retry`` and a ``readmit`` add one to
+    their model's queue and a dispatch removes its batch.  The tracer
+    emits every trace event at the entry that produced it, so the export's
+    ``(ts, emission order)`` sort reproduces the loop's own order.
+    Simulated seconds are the trace timebase; the runtime is thread 0 and
+    worker ``w`` is thread ``w + 1``.
 
     Throttle and downtime episodes are emitted as ``X`` spans when they
     close (at the matching end event, or at the horizon): a crash during a
     throttle interleaves the two, which nested ``B``/``E`` spans on one
     thread cannot represent.
     """
-    models = {request.request_id: request.model for request in requests}
-    depth = dict.fromkeys(report.models, 0)
-    tracer = obs.tracer
-    if tracer is not None:
-        pid = tracer.new_process(
-            f"serve {report.accelerator} x{report.n_workers}: {report.traffic}"
-        )
-        tracer.thread_name(pid, 0, "runtime")
-        for worker_id in range(report.n_workers):
-            tracer.thread_name(pid, worker_id + 1, f"worker-{worker_id}")
-        batches = {batch.batch_id: batch for batch in report.batches}
-        dispatched: dict[int, tuple[float, str]] = {}
-        throttled: dict[int, tuple[float, float]] = {}
-        down: dict[int, tuple[float, str]] = {}
-    for now_s, kind, *ids in report.event_trace:
-        model = None
+    tracer, registry = obs.tracer, obs.metrics
+    if tracer is None and registry is None:
+        return
+    columns = report.columns
+    requests = columns.requests
+    n_rows, n_entries = len(requests), len(columns.trace_entries)
+    # Per trace entry (arrivals first, then the others): queue-depth change
+    # and the model it applies to (-1: none).
+    delta = np.concatenate(((~columns.shed).astype(int), np.zeros(n_entries, dtype=int)))
+    model = np.concatenate((requests.model, np.full(n_entries, -1, dtype=np.intp)))
+    model_of = None
+    for j, (_, kind, *ids) in enumerate(columns.trace_entries, start=n_rows):
         if kind == "dispatch":
-            model = ids[3]
-            depth[model] -= ids[2]
-        elif kind in ("arrival", "readmit") or (kind == "retry" and backoff_s == 0):
-            model = models[ids[0]]
-            depth[model] += 1
-        if tracer is None:
-            continue
-        if kind == "shed":
-            tracer.instant(
-                now_s, kind, pid, 0, args={"request": ids[0], "model": models[ids[0]]}
+            delta[j] = -ids[2]
+            model[j] = report.models.index(ids[3])
+        elif kind == "readmit" or (kind == "retry" and backoff_s == 0):
+            if model_of is None:
+                model_of = dict(zip(requests.request_id.tolist(), requests.model.tolist()))
+            delta[j] = 1
+            model[j] = model_of[ids[0]]
+    if tracer is not None:
+        # Position of each of the entries above in event-trace order, and
+        # each one's queue depth after it: a running sum per model, in
+        # that order.
+        order = np.concatenate((
+            np.arange(n_rows) + np.searchsorted(columns.trace_cursor, np.arange(n_rows), "right"),
+            columns.trace_cursor + np.arange(n_entries),
+        ))
+        by_order = np.argsort(order)
+        in_order_delta, in_order_model = delta[by_order], model[by_order]
+        depth = np.zeros(order.size, dtype=int)
+        for code in range(len(report.models)):
+            mask = in_order_model == code
+            depth[mask] = np.cumsum(in_order_delta * mask)[mask]
+        _emit_trace(tracer, report, model.tolist(), depth[order].tolist())
+
+    if registry is None:
+        return
+    labels = obs.label(accelerator=report.accelerator)
+    for name, value, description in (
+        ("arrivals", report.n_arrivals, "requests offered"),
+        ("shed", report.n_shed, "requests rejected by admission"),
+        ("completed", report.n_completed, "requests served"),
+        ("batches", report.n_batches, "batches completed"),
+        ("retries", report.n_retries, "crash-lost requests requeued"),
+        ("failures", report.n_failed, "requests terminally failed"),
+        ("lost_batches", report.n_lost_batches, "batches lost to crashes"),
+        ("events_processed", report.events_processed,
+         "discrete events the loop processed"),
+    ):
+        registry.counter(f"serve.runtime.{name}", labels, help=description).inc(value)
+    registry.histogram(
+        "serve.runtime.latency_s", labels,
+        help="end-to-end request latency (simulated seconds)",
+    ).observe_many(report.latencies_s)
+    registry.histogram(
+        "serve.runtime.queue_wait_s", labels,
+        help="admission-queue wait before dispatch (simulated seconds)",
+    ).observe_many(report.queue_waits_s)
+    final_depth = np.bincount(model[model >= 0], delta[model >= 0], len(report.models))
+    for name, depth_end in zip(report.models, final_depth.tolist()):
+        registry.gauge(
+            "serve.runtime.queue_depth", {**labels, "model": name},
+            help="requests waiting in the model's admission queue",
+        ).set(int(depth_end))
+    registry.gauge(
+        "serve.runtime.wall_time_s", labels,
+        help="wall-clock seconds the event loop took",
+    ).inc(report.wall_time_s)
+    registry.gauge(
+        "serve.runtime.peak_queue_depth", labels,
+        help="deepest any admission queue got",
+    ).set(report.peak_queue_depth)
+
+
+def _emit_trace(tracer, report: ServingReport, model, depth) -> None:
+    """Emit the run's Perfetto timeline, one step per event-trace entry.
+
+    ``model`` and ``depth`` hold, for every request row and then every
+    non-arrival trace entry, the model code it applies to (``-1``: none)
+    and that model's queue depth after it.  Arrival rows between two other
+    entries are emitted in bulk.
+    """
+    columns = report.columns
+    names = report.models
+    pid = tracer.new_process(
+        f"serve {report.accelerator} x{report.n_workers}: {report.traffic}"
+    )
+    tracer.thread_name(pid, 0, "runtime")
+    for worker_id in range(report.n_workers):
+        tracer.thread_name(pid, worker_id + 1, f"worker-{worker_id}")
+    request_ids = columns.requests.request_id.tolist()
+    arrivals_s = columns.requests.arrival_s.tolist()
+    n_rows = len(request_ids)
+    shed_rows = np.flatnonzero(columns.shed).tolist()
+    offsets = columns.member_offsets.tolist()
+    dispatch_s = columns.dispatch_s.tolist()
+    latency_s = columns.latency_s.tolist()
+    energy_j = columns.energy_j.tolist()
+    batch_model = columns.batch_model.tolist()
+    batch_worker = columns.batch_worker.tolist()
+    deadline_triggered = columns.deadline_triggered.tolist()
+    counter_names = [f"queue:{name}" for name in names]
+
+    sample_names = [counter_names[code] for code in model[:n_rows]]
+    sample_values = [{"depth": queue_depth} for queue_depth in depth[:n_rows]]
+
+    def arrivals(start: int, stop: int) -> None:
+        # Admitted arrivals are counter samples, shed ones instants.
+        shed_index = bisect_left(shed_rows, start)
+        while shed_index < len(shed_rows) and shed_rows[shed_index] < stop:
+            row = shed_rows[shed_index]
+            tracer.counters(
+                pid, 0, arrivals_s[start:row], sample_names[start:row],
+                sample_values[start:row],
             )
-        elif kind in ("retry", "failed"):
+            tracer.instant(
+                arrivals_s[row], "shed", pid, 0,
+                args={"request": request_ids[row], "model": names[model[row]]},
+            )
+            start, shed_index = row + 1, shed_index + 1
+        tracer.counters(
+            pid, 0, arrivals_s[start:stop], sample_names[start:stop],
+            sample_values[start:stop],
+        )
+
+    # Every completed request's queue span then service span, in
+    # completion order.
+    rows, batch_of = columns.completed_members()
+    served_s = columns.dispatch_s[batch_of]
+    span_starts = np.empty((rows.size, 2))
+    span_starts[:, 0] = columns.requests.arrival_s[rows]
+    span_starts[:, 1] = served_s
+    span_ends = np.empty((rows.size, 2))
+    span_ends[:, 0] = served_s
+    span_ends[:, 1] = served_s + columns.latency_s[batch_of]
+    span_tids = np.zeros((rows.size, 2), dtype=int)
+    span_tids[:, 1] = columns.batch_worker[batch_of] + 1
+    span_starts, span_ends, span_tids = (
+        array.ravel().tolist() for array in (span_starts, span_ends, span_tids)
+    )
+    span_ids = np.repeat(columns.requests.request_id[rows], 2).tolist()
+    span_names = ["queue", "service"] * rows.size
+    span_end = 0
+
+    throttled: dict[int, tuple[float, float]] = {}
+    down: dict[int, tuple[float, str]] = {}
+    for j, (start, stop, entry) in enumerate(columns.trace_segments(), start=n_rows):
+        if start < stop:
+            arrivals(start, stop)
+        if entry is None:
+            break
+        now_s, kind, *ids = entry
+        if kind in ("retry", "failed"):
             tracer.instant(
                 now_s, kind, pid, 0, args={"request": ids[0], "attempts": ids[1]}
             )
-        elif kind == "dispatch":
-            dispatched[ids[0]] = (now_s, model)
         elif kind == "complete":
-            batch = batches[ids[0]]
-            tid = batch.worker_id + 1
+            batch_id = ids[0]
+            size = offsets[batch_id + 1] - offsets[batch_id]
             tracer.complete(
-                batch.dispatch_s, batch.latency_s,
-                f"{batch.model} x{batch.size}", pid, tid,
+                dispatch_s[batch_id], latency_s[batch_id],
+                f"{names[batch_model[batch_id]]} x{size}", pid, batch_worker[batch_id] + 1,
                 args={
-                    "batch": batch.batch_id,
-                    "deadline_triggered": batch.deadline_triggered,
-                    "energy_j": batch.energy_j,
+                    "batch": batch_id,
+                    "deadline_triggered": deadline_triggered[batch_id],
+                    "energy_j": energy_j[batch_id],
                 },
             )
-            for request in batch.requests:
-                tracer.async_span(
-                    request.arrival_s, batch.dispatch_s, "queue", "request",
-                    request.request_id, pid,
-                )
-                tracer.async_span(
-                    batch.dispatch_s, batch.completion_s, "service", "request",
-                    request.request_id, pid, tid,
-                )
+            span_start, span_end = span_end, span_end + 2 * size
+            tracer.async_spans(
+                pid, "request", span_starts[span_start:span_end],
+                span_ends[span_start:span_end], span_names[span_start:span_end],
+                span_ids[span_start:span_end], span_tids[span_start:span_end],
+            )
         elif kind == "batch_lost":
             batch_id, worker_id, size = ids
-            dispatch_s, batch_model = dispatched[batch_id]
+            start_s = dispatch_s[batch_id]
             tracer.complete(
-                dispatch_s, now_s - dispatch_s, f"{batch_model} x{size} (lost)",
+                start_s, now_s - start_s, f"{names[batch_model[batch_id]]} x{size} (lost)",
                 pid, worker_id + 1, args={"batch": batch_id},
             )
         elif kind == "throttle_start":
@@ -741,57 +991,15 @@ def _observe(
         elif kind == "worker_up":
             start_s, cause = down.pop(ids[0])
             tracer.complete(start_s, now_s - start_s, f"down ({cause})", pid, ids[0] + 1)
-        if model is not None:
-            tracer.counter(now_s, f"queue:{model}", pid, 0, {"depth": depth[model]})
-    if tracer is not None:
-        horizon_s = report.horizon_s
-        for episodes, label in ((throttled, "throttle x{:g}"), (down, "down ({})")):
-            for worker_id, (start_s, detail) in sorted(episodes.items()):
-                tracer.complete(
-                    start_s, max(horizon_s, start_s) - start_s,
-                    label.format(detail), pid, worker_id + 1,
-                )
-
-    registry = obs.metrics
-    if registry is None:
-        return
-    labels = obs.label(accelerator=report.accelerator)
-    for name, value, description in (
-        ("arrivals", report.n_arrivals, "requests offered"),
-        ("shed", report.n_shed, "requests rejected by admission"),
-        ("completed", report.n_completed, "requests served"),
-        ("batches", len(report.batches), "batches completed"),
-        ("retries", report.n_retries, "crash-lost requests requeued"),
-        ("failures", report.n_failed, "requests terminally failed"),
-        ("lost_batches", report.n_lost_batches, "batches lost to crashes"),
-        ("events_processed", report.events_processed,
-         "discrete events the loop processed"),
-    ):
-        registry.counter(f"serve.runtime.{name}", labels, help=description).inc(value)
-    latency = registry.histogram(
-        "serve.runtime.latency_s", labels,
-        help="end-to-end request latency (simulated seconds)",
-    )
-    queue_wait = registry.histogram(
-        "serve.runtime.queue_wait_s", labels,
-        help="admission-queue wait before dispatch (simulated seconds)",
-    )
-    for record in report.requests:
-        latency.observe(record.latency_s)
-        queue_wait.observe(record.queue_wait_s)
-    for model, final_depth in depth.items():
-        registry.gauge(
-            "serve.runtime.queue_depth", {**labels, "model": model},
-            help="requests waiting in the model's admission queue",
-        ).set(final_depth)
-    registry.gauge(
-        "serve.runtime.wall_time_s", labels,
-        help="wall-clock seconds the event loop took",
-    ).inc(report.wall_time_s)
-    registry.gauge(
-        "serve.runtime.peak_queue_depth", labels,
-        help="deepest any admission queue got",
-    ).set(report.peak_queue_depth)
+        if model[j] >= 0:
+            tracer.counter(now_s, counter_names[model[j]], pid, 0, {"depth": depth[j]})
+    horizon_s = report.horizon_s
+    for episodes, label in ((throttled, "throttle x{:g}"), (down, "down ({})")):
+        for worker_id, (start_s, detail) in sorted(episodes.items()):
+            tracer.complete(
+                start_s, max(horizon_s, start_s) - start_s,
+                label.format(detail), pid, worker_id + 1,
+            )
 
 
 def serve_trace(

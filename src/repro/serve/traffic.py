@@ -29,20 +29,30 @@ from repro.utils.validation import check_non_negative, check_positive
 
 def _poisson_arrivals(
     rng: np.random.Generator, rate_rps: float, start_s: float, end_s: float
-) -> list[float]:
+) -> np.ndarray:
     """Exponential-gap arrivals at ``rate_rps`` within ``[start_s, end_s)``.
 
-    Gaps are drawn one at a time so interleaved processes (the bursty
-    generator switching states) consume the generator stream in arrival
-    order, keeping the draw sequence -- and therefore the trace --
-    deterministic.
+    Consumes the generator exactly as drawing one gap at a time until an
+    arrival lands at or past ``end_s`` would (``k`` arrivals use ``k + 1``
+    gaps), so interleaved processes (the bursty generator switching states)
+    keep the same draw sequence -- and therefore the same trace.  The gaps
+    are drawn in chunks from a saved generator state; once the cut is
+    known the state is restored and exactly ``k + 1`` gaps are redrawn.
+    ``np.cumsum`` adds left to right, so every arrival time is the same
+    float the one-gap-at-a-time sum produces.
     """
-    times: list[float] = []
-    t = start_s + rng.exponential(1.0 / rate_rps)
-    while t < end_s:
-        times.append(t)
-        t += rng.exponential(1.0 / rate_rps)
-    return times
+    scale = 1.0 / rate_rps
+    state = rng.bit_generator.state
+    expected = rate_rps * (end_s - start_s)
+    chunk = int(expected + 4.0 * np.sqrt(expected)) + 16
+    times = np.cumsum(np.concatenate(([start_s], rng.exponential(scale, size=chunk))))[1:]
+    while times[-1] < end_s:
+        more = np.cumsum(np.concatenate(([times[-1]], rng.exponential(scale, size=chunk))))
+        times = np.concatenate((times, more[1:]))
+    n_arrivals = int(np.searchsorted(times, end_s, side="left"))
+    rng.bit_generator.state = state
+    rng.exponential(scale, size=n_arrivals + 1)
+    return times[:n_arrivals]
 
 
 class TrafficProcess:
@@ -79,9 +89,7 @@ class PoissonTraffic(TrafficProcess):
         check_positive("duration_s", self.duration_s)
 
     def arrival_times(self, rng: np.random.Generator) -> np.ndarray:
-        return np.asarray(
-            _poisson_arrivals(rng, self.rate_rps, 0.0, self.duration_s)
-        )
+        return _poisson_arrivals(rng, self.rate_rps, 0.0, self.duration_s)
 
     def describe(self) -> str:
         return f"poisson(rate={self.rate_rps:g}rps, duration={self.duration_s:g}s)"
@@ -115,17 +123,17 @@ class BurstyTraffic(TrafficProcess):
             )
 
     def arrival_times(self, rng: np.random.Generator) -> np.ndarray:
-        times: list[float] = []
+        chunks = [np.empty(0)]
         t = 0.0
         bursting = False
         while t < self.duration_s:
             mean_dwell = self.mean_burst_dwell_s if bursting else self.mean_base_dwell_s
             rate = self.burst_rate_rps if bursting else self.base_rate_rps
             dwell_end = min(t + rng.exponential(mean_dwell), self.duration_s)
-            times.extend(_poisson_arrivals(rng, rate, t, dwell_end))
+            chunks.append(_poisson_arrivals(rng, rate, t, dwell_end))
             t = dwell_end
             bursting = not bursting
-        return np.asarray(times)
+        return np.concatenate(chunks)
 
     def describe(self) -> str:
         return (

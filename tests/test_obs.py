@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -154,6 +155,17 @@ class TestMetrics:
         hist.observe(1e6)
         assert hist.quantile(1.0) == math.inf
 
+    def test_histogram_observe_many_matches_one_at_a_time(self):
+        values = [0.5, 1.0, 5.0, 1e-9, 50.0, 1e6, 0.1 + 0.2, 7.25]
+        one, many = (Histogram("h", (), buckets=(1.0, 10.0, 100.0)) for _ in range(2))
+        one.observe(3.0)
+        many.observe(3.0)
+        for value in values:
+            one.observe(value)
+        many.observe_many(np.asarray(values))
+        many.observe_many(np.asarray([]))
+        assert (many.counts, many.sum, many.count) == (one.counts, one.sum, one.count)
+
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
         registry.counter("dual", {"a": "1"})
@@ -267,6 +279,23 @@ class TestTracer:
         assert tracer.process("shared") == tracer.process("shared")
         assert tracer.new_process("fresh") != tracer.new_process("fresh")
 
+    def test_bulk_emitters_match_single_events(self):
+        single, bulk = Tracer(), Tracer()
+        for tracer in (single, bulk):
+            tracer.new_process("p")
+        single.counter(0.1, "depth", 1, 0, {"queue": 3})
+        single.counter(0.2, "depth", 1, 0, {"queue": 4})
+        single.async_span(0.0, 0.3, "queue", "request", 7, 1)
+        single.async_span(0.3, 0.5, "service", "request", 7, 1, 2)
+        bulk.counters(1, 0, (0.1, 0.2), ("depth", "depth"), ({"queue": 3}, {"queue": 4}))
+        bulk.async_spans(
+            1, "request", (0.0, 0.3), (0.3, 0.5), ("queue", "service"), (7, 7), (0, 2)
+        )
+        assert bulk.to_dict() == single.to_dict()
+        assert len(bulk) == len(single) == 1 + 2 + 4
+        phases = [e["ph"] for e in bulk.to_dict()["traceEvents"]]
+        assert phases == ["M", "b", "C", "C", "e", "b", "e"]
+
     def test_negative_duration_clamped(self):
         tracer = Tracer()
         pid = tracer.new_process("p")
@@ -299,6 +328,17 @@ class TestLoopProfiler:
         assert summary["handlers"]["ArrivalEvent"]["count"] == 2
         assert summary["events_per_sec"] > 0
         assert "| handler |" in profiler.table()
+
+    def test_span_record_counts_its_events(self):
+        profiler = LoopProfiler()
+        profiler.start()
+        profiler.record("ArrivalEvent", 4_000, 12)
+        profiler.record("DeadlineEvent", 500)
+        profiler.stop()
+        summary = profiler.summary()
+        assert summary["events_processed"] == 13
+        assert summary["handlers"]["ArrivalEvent"]["count"] == 1
+        assert summary["handlers"]["ArrivalEvent"]["total_s"] == pytest.approx(4e-6)
 
     def test_stop_without_start_raises(self):
         with pytest.raises(RuntimeError):

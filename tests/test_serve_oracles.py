@@ -19,6 +19,13 @@ time-averaged depth L equals the arrival rate times the mean wait, L = lambda W.
 The depth is replayed from the event trace (an arrival adds one request, a
 dispatch removes its batch) and the waits come from the request records,
 so the check ties the loop's arrival and dispatch ordering to its records.
+
+The saturation edge: with full batches, a fleet of ``n`` workers serves at
+most ``n * B / batch_latency_s(B)`` requests per second.  Cut off at the
+traffic window (``drain=False``), a run at 0.95 of that capacity ends with
+a small backlog however long it runs, while at 1.05 the backlog grows with
+the horizon as ``arrivals - capacity * horizon``; with a bounded queue the
+same excess is shed instead.
 """
 
 from __future__ import annotations
@@ -139,3 +146,77 @@ def test_littles_law_on_replayed_queue_depth(lenet, crosslight, fleet, seed):
     mean_depth = area / horizon_s
     arrival_rate = report.n_arrivals / horizon_s
     assert mean_depth == pytest.approx(arrival_rate * np.mean(waits), rel=1e-9)
+
+
+# --------------------------------------------------------------------------- #
+# Saturation edge
+# --------------------------------------------------------------------------- #
+SATURATION_BATCH = 8
+SATURATION_WORKERS = 2
+SATURATION_REQUESTS = 20_000
+
+
+def _cut_off_run(lenet, crosslight, load, n_requests, seed, max_queue_depth=None):
+    """A ``drain=False`` run at ``load`` times the full-batch fleet capacity.
+
+    Returns the report and the excess ``arrivals - capacity * horizon``:
+    the work a fleet serving at capacity throughout leaves undone.
+    """
+    capacity_rps = SATURATION_WORKERS * SATURATION_BATCH / crosslight.batch_latency_s(
+        trace_model(lenet), SATURATION_BATCH
+    )
+    rate_rps = load * capacity_rps
+    duration_s = n_requests / rate_rps
+    report = serve_trace(
+        lenet,
+        crosslight,
+        PoissonTraffic(rate_rps=rate_rps, duration_s=duration_s),
+        # Batches fill long before the head's deadline, so every dispatch
+        # is a full batch and the capacity above is the fleet's capacity.
+        BatchPolicy(
+            max_batch_size=SATURATION_BATCH,
+            max_wait_s=50.0 * SATURATION_BATCH / rate_rps,
+            max_queue_depth=max_queue_depth,
+        ),
+        n_workers=SATURATION_WORKERS,
+        seed=seed,
+        drain=False,
+    )
+    assert report.conserved
+    assert report.deadline_dispatch_fraction == 0.0
+    return report, report.n_arrivals - capacity_rps * duration_s
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backlog_stays_bounded_below_capacity(lenet, crosslight, seed):
+    fleet_batch = SATURATION_WORKERS * SATURATION_BATCH
+    for n_requests in (SATURATION_REQUESTS, 2 * SATURATION_REQUESTS):
+        report, excess = _cut_off_run(lenet, crosslight, 0.95, n_requests, seed)
+        assert excess < -0.04 * n_requests
+        assert report.backlog_end <= 10 * fleet_batch
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backlog_grows_linearly_above_capacity(lenet, crosslight, seed):
+    fleet_batch = SATURATION_WORKERS * SATURATION_BATCH
+    backlogs = []
+    for n_requests in (SATURATION_REQUESTS, 2 * SATURATION_REQUESTS):
+        report, excess = _cut_off_run(lenet, crosslight, 1.05, n_requests, seed)
+        # The fleet idles only while the backlog first builds up.
+        assert abs(report.backlog_end - excess) <= 0.1 * excess + fleet_batch
+        backlogs.append(report.backlog_end)
+    assert 1.6 <= backlogs[1] / backlogs[0] <= 2.4
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_queue_sheds_the_excess_above_capacity(lenet, crosslight, seed):
+    fleet_batch = SATURATION_WORKERS * SATURATION_BATCH
+    depth = 256
+    sheds = []
+    for n_requests in (SATURATION_REQUESTS, 2 * SATURATION_REQUESTS):
+        report, excess = _cut_off_run(lenet, crosslight, 1.05, n_requests, seed, depth)
+        assert report.peak_queue_depth == depth
+        assert report.backlog_end <= depth + fleet_batch
+        assert abs(report.n_shed + report.backlog_end - excess) <= 0.1 * excess + fleet_batch
+        sheds.append(report.n_shed)
+    assert 1.6 <= sheds[1] / sheds[0] <= 2.6

@@ -25,6 +25,7 @@ from repro.arch.accelerator import CrossLightAccelerator, PhotonicAccelerator
 from repro.experiments import serving_study
 from repro.nn.layers import LayerWorkload
 from repro.nn.zoo import build_model
+from repro.serve import traffic as traffic_module
 from repro.serve import (
     BatchPolicy,
     BurstyTraffic,
@@ -33,9 +34,11 @@ from repro.serve import (
     MicroBatcher,
     PoissonTraffic,
     Request,
+    RequestColumns,
     RequestRecord,
     ServingRuntime,
     SimulationClock,
+    TraceEvent,
     TraceTraffic,
     requests_from_traffic,
     serve_trace,
@@ -80,15 +83,13 @@ class TestEventCore:
         with pytest.raises(IndexError):
             EventQueue().pop()
 
-    def test_records_are_slotted_and_bulk_paths_match_constructors(self):
+    def test_records_are_slotted_and_frozen(self):
         request = Request(request_id=3, model="m", arrival_s=0.5, input_index=1)
-        assert Request.unchecked(3, "m", 0.5, 1) == request
         record = RequestRecord(
             request_id=3, model="m", arrival_s=0.5, dispatch_s=0.75,
             completion_s=1.0, batch_id=2, worker_id=1, batch_size=4,
         )
-        assert RequestRecord.unchecked(request, 0.75, 1.0, 2, 1, 4) == record
-        for value in (request, record, Request.unchecked(3, "m", 0.5, 1)):
+        for value in (request, record):
             assert not hasattr(value, "__dict__")
             with pytest.raises(AttributeError):
                 value.request_id = 4
@@ -113,6 +114,17 @@ class TestEventCore:
 # --------------------------------------------------------------------------- #
 # Traffic generators
 # --------------------------------------------------------------------------- #
+def _scalar_poisson_arrivals(rng, rate_rps, start_s, end_s):
+    """Reference draw: one exponential gap at a time, the stream order the
+    chunked generator must reproduce exactly."""
+    times = []
+    t = start_s + rng.exponential(1.0 / rate_rps)
+    while t < end_s:
+        times.append(t)
+        t += rng.exponential(1.0 / rate_rps)
+    return np.asarray(times)
+
+
 class TestTraffic:
     @pytest.mark.parametrize(
         "traffic",
@@ -138,6 +150,24 @@ class TestTraffic:
         assert times.size > 50
         assert np.all(np.diff(times) >= 0)
         assert times[0] >= 0 and times[-1] < traffic.duration_s
+
+    @pytest.mark.parametrize("start_s", [0.0, 0.37])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chunked_poisson_draws_match_one_gap_at_a_time(self, seed, start_s):
+        chunked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        times = traffic_module._poisson_arrivals(chunked, 20_000.0, start_s, start_s + 0.5)
+        expected = _scalar_poisson_arrivals(scalar, 20_000.0, start_s, start_s + 0.5)
+        assert times.tobytes() == expected.tobytes()
+        assert chunked.bit_generator.state == scalar.bit_generator.state
+
+    def test_bursty_stream_unchanged_by_chunked_draws(self, monkeypatch):
+        traffic = BurstyTraffic(
+            base_rate_rps=20_000.0, burst_rate_rps=80_000.0, duration_s=0.5,
+            mean_base_dwell_s=0.05, mean_burst_dwell_s=0.01,
+        )
+        times = traffic.generate(seed=3)
+        monkeypatch.setattr(traffic_module, "_poisson_arrivals", _scalar_poisson_arrivals)
+        assert times.tobytes() == traffic.generate(seed=3).tobytes()
 
     def test_poisson_rate_is_roughly_honoured(self):
         traffic = PoissonTraffic(rate_rps=10_000.0, duration_s=0.5)
@@ -170,6 +200,32 @@ class TestTraffic:
             TraceTraffic([1.0, 0.5])
         with pytest.raises(ValueError):
             TraceTraffic([])
+
+
+class TestRequestColumns:
+    def test_items_are_request_views(self):
+        traffic = PoissonTraffic(rate_rps=5_000.0, duration_s=0.01)
+        columns = requests_from_traffic(traffic, "m", seed=1, start_id=10, n_inputs=4)
+        times = traffic.generate(seed=1)
+        expected = [
+            Request(10 + i, "m", t, (10 + i) % 4) for i, t in enumerate(times.tolist())
+        ]
+        assert len(columns) == len(expected) > 10
+        assert list(columns) == expected
+        assert columns[3] == expected[3] and columns[-1] == expected[-1]
+        assert list(columns[2:8:3]) == expected[2:8:3]
+        assert RequestColumns.from_requests(expected) == columns
+
+    def test_concatenation_and_append_merge_models_by_name(self):
+        first = RequestColumns.from_requests([Request(0, "a", 0.1), Request(1, "b", 0.2)])
+        second = [Request(2, "b", 0.3, 5), Request(3, "c", 0.0)]
+        joined = first + second
+        assert joined.models == ("a", "b", "c")
+        assert list(joined) == list(first) + second
+        assert list(second + first) == second + list(first)
+        first.append(Request(4, "c", 0.4))
+        assert [r.model for r in first] == ["a", "b", "c"]
+        assert first[2] == Request(4, "c", 0.4)
 
 
 # --------------------------------------------------------------------------- #
@@ -513,6 +569,52 @@ class TestArbitrationCount:
         assert report.n_arrivals == 10_058
         assert report.events_processed == 12_574
         assert calls < 0.5 * report.events_processed
+
+
+class TestPerRequestObjects:
+    """A deterministic guard that the loop's work is per batch, not per request.
+
+    The run record is columnar: ``run()`` builds no :class:`Request`,
+    :class:`RequestRecord` or :class:`TraceEvent`; the report builds them
+    only when its per-item views are read.  On the run
+    :class:`TestArbitrationCount` pins, the constructors are counted the
+    same way that class counts ``_dispatch_ready``.
+    """
+
+    def test_run_builds_no_per_request_objects_until_a_view_is_read(
+        self, lenet, crosslight, monkeypatch
+    ):
+        built = {"Request": 0, "RequestRecord": 0, "TraceEvent": 0}
+
+        def counted(name, constructor):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return constructor(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Request, "__init__", counted("Request", Request.__init__))
+        monkeypatch.setattr(
+            RequestRecord, "__init__", counted("RequestRecord", RequestRecord.__init__)
+        )
+        monkeypatch.setattr(TraceEvent, "__new__", counted("TraceEvent", TraceEvent.__new__))
+        capacity_rps = 4 * 8 / crosslight.batch_latency_s(trace_model(lenet), 8)
+        rate = 0.8 * capacity_rps
+        report = serve_trace(
+            lenet,
+            crosslight,
+            PoissonTraffic(rate_rps=rate, duration_s=10_000 / rate),
+            BatchPolicy(max_batch_size=8, max_wait_s=2.0 * 8 / rate),
+            n_workers=4,
+            seed=0,
+        )
+        assert report.n_arrivals == 10_058
+        assert built == {"Request": 0, "RequestRecord": 0, "TraceEvent": 0}
+        assert len(report.requests) == report.n_completed
+        assert built["RequestRecord"] == report.n_completed
+        assert len(report.event_trace) == report.n_arrivals + 2 * report.n_batches
+        assert built["TraceEvent"] == len(report.event_trace)
+        assert built["Request"] == 0
 
 
 class TestMultiModel:
