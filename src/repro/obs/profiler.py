@@ -31,8 +31,6 @@ from __future__ import annotations
 import time
 from typing import Any
 
-import numpy as np
-
 from repro.serve.clock import EventQueue
 
 from .metrics import DEFAULT_TIME_BUCKETS, Histogram, MetricSample
@@ -54,10 +52,6 @@ class LoopProfiler:
         self._buckets = buckets
         self._handlers: dict[str, Histogram] = {}
         self._queue_ops: dict[str, Histogram] = {}
-        # Raw nanosecond samples, folded into the histograms on every read,
-        # so recording inside the loop is one list append.
-        self._handler_ns: dict[str, list[int]] = {}
-        self._queue_op_ns: dict[str, list[int]] = {}
         self._events = 0
         self._wall_ns = 0
         self._started_ns: int | None = None
@@ -78,33 +72,24 @@ class LoopProfiler:
 
     def record(self, kind: str, elapsed_ns: int, n_events: int = 1) -> None:
         """Record one handler invocation for event ``kind`` covering ``n_events``."""
-        samples = self._handler_ns.get(kind)
-        if samples is None:
-            samples = self._handler_ns[kind] = []
-        samples.append(elapsed_ns)
+        hist = self._handlers.get(kind)
+        if hist is None:
+            hist = Histogram(
+                "profile.handler_s", (("kind", kind),), buckets=self._buckets
+            )
+            self._handlers[kind] = hist
+        hist.observe(elapsed_ns * 1e-9)
         self._events += n_events
 
     def record_queue_op(self, op: str, elapsed_ns: int) -> None:
         """Record one ``EventQueue`` ``push``/``pop`` (fed by the subclass)."""
-        samples = self._queue_op_ns.get(op)
-        if samples is None:
-            samples = self._queue_op_ns[op] = []
-        samples.append(elapsed_ns)
-
-    def _fold(self) -> None:
-        """Move the raw samples into the per-kind and per-op histograms."""
-        for name, label, raw, hists in (
-            ("profile.handler_s", "kind", self._handler_ns, self._handlers),
-            ("profile.queue_op_s", "op", self._queue_op_ns, self._queue_ops),
-        ):
-            for key, samples in raw.items():
-                hist = hists.get(key)
-                if hist is None:
-                    hist = hists[key] = Histogram(
-                        name, ((label, key),), buckets=self._buckets
-                    )
-                hist.observe_many(np.asarray(samples) * 1e-9)
-                samples.clear()
+        hist = self._queue_ops.get(op)
+        if hist is None:
+            hist = Histogram(
+                "profile.queue_op_s", (("op", op),), buckets=self._buckets
+            )
+            self._queue_ops[op] = hist
+        hist.observe(elapsed_ns * 1e-9)
 
     def instrument_queue(self) -> "InstrumentedEventQueue":
         """A fresh :class:`EventQueue` whose push/pop report to this profiler."""
@@ -130,7 +115,6 @@ class LoopProfiler:
 
     def summary(self) -> dict[str, Any]:
         """JSON-ready profile: throughput plus per-kind and queue-op stats."""
-        self._fold()
         def stats(hist: Histogram) -> dict[str, Any]:
             return {
                 "count": hist.count,
@@ -158,7 +142,6 @@ class LoopProfiler:
         Rows are sorted by total time descending -- the first row is where
         the hot-path rewrite should start.
         """
-        self._fold()
         rows = [
             (kind, hist.count, hist.sum, hist.mean)
             for kind, hist in self._handlers.items()
@@ -181,7 +164,6 @@ class LoopProfiler:
 
     def samples(self) -> list[MetricSample]:
         """Registry-style samples (merged into metrics exports when enabled)."""
-        self._fold()
         out = [hist.sample() for hist in self._handlers.values()]
         out += [hist.sample() for hist in self._queue_ops.values()]
         out.append(

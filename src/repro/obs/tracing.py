@@ -65,7 +65,11 @@ class Tracer:
         self._wall_epoch: float | None = None
 
     def __len__(self) -> int:
-        return sum(1 for _ in self._expanded()) + len(self._meta)
+        blocks = {"counters": 1, "spans": 2}  # events per element of a block
+        return len(self._meta) + sum(
+            blocks[event[0]] * len(event[3]) if event[0] in blocks else 1
+            for event in self._events
+        )
 
     # ------------------------------------------------------------------ #
     # Track management
@@ -194,9 +198,11 @@ class Tracer:
         correlation_id: int,
         pid: int,
         tid: int = 0,
+        args: dict[str, Any] | None = None,
     ) -> None:
         """Emit a ``b``/``e`` pair for an extent known at emission time."""
-        self.async_spans(pid, cat, (start_s,), (end_s,), (name,), (correlation_id,), (tid,))
+        self.async_begin(start_s, name, cat, correlation_id, pid, tid, args)
+        self.async_end(end_s, name, cat, correlation_id, pid, tid)
 
     def async_spans(self, pid: int, cat: str, starts_s, ends_s, names, ids, tids) -> None:
         """``b``/``e`` pairs of category ``cat`` from parallel sequences, in order.

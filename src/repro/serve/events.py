@@ -112,6 +112,8 @@ class Request:
     def __post_init__(self) -> None:
         if self.arrival_s < 0:
             raise ValueError(f"arrival_s must be >= 0, got {self.arrival_s}")
+        if self.input_index is not None and self.input_index < 0:
+            raise ValueError(f"input_index must be >= 0, got {self.input_index}")
 
 
 class RequestColumns(Sequence):
@@ -120,6 +122,7 @@ class RequestColumns(Sequence):
     ``request_id``, ``arrival_s``, ``model`` (a code into ``models``) and
     ``input_index`` (``-1`` where a request has none) are parallel arrays,
     so a 100k-request workload is four arrays rather than 100k objects.
+    Construction checks them as :class:`Request` does, once per array.
     Slicing returns columns; ``+`` concatenates with columns or with any
     iterable of requests (a plain list on either side); :meth:`append`
     adds one request.  Models are merged by name, in first-seen order.
@@ -142,6 +145,12 @@ class RequestColumns(Sequence):
         self.model = np.asarray(model, dtype=np.intp)
         self.input_index = np.asarray(input_index, dtype=np.int64)
         self.models = tuple(models)
+        negative = self.arrival_s[self.arrival_s < 0]
+        if negative.size:
+            raise ValueError(f"arrival_s must be >= 0, got {negative.item(0)}")
+        invalid = self.input_index[self.input_index < -1]
+        if invalid.size:
+            raise ValueError(f"input_index must be >= 0 (-1: none), got {invalid.item(0)}")
 
     @classmethod
     def from_requests(cls, requests: Iterable[Request]) -> "RequestColumns":

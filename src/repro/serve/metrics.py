@@ -178,7 +178,9 @@ class ServingReport:
     n_shed: int
     n_queued_end: int
     n_in_flight_end: int
-    columns: RunColumns
+    #: Compared, but left out of the hash (arrays are unhashable): equal
+    #: reports still hash equal.
+    columns: RunColumns = field(hash=False)
     worker_busy_s: tuple[float, ...]
     peak_queue_depth: int
     outputs: dict[int, int] | None = field(default=None, compare=False)

@@ -2,9 +2,9 @@
 
 :class:`ServingRuntime` is the deterministic discrete-event loop composing
 the other :mod:`repro.serve` pieces: seeded traffic produces
-:class:`~repro.serve.events.RequestColumns` of arrivals, per-model FIFO
-admission queues form dynamic micro-batches under a
-:class:`~repro.serve.batcher.BatchPolicy`, and a
+:class:`~repro.serve.events.RequestColumns` of arrivals, one FIFO
+:class:`~repro.serve.batcher.MicroBatcher` per model forms dynamic
+micro-batches under a :class:`~repro.serve.batcher.BatchPolicy`, and a
 :class:`~repro.serve.workers.WorkerPool` of simulated accelerators prices
 every dispatch with the analytic
 :meth:`~repro.arch.accelerator.PhotonicAccelerator.batch_latency_s` model
@@ -31,9 +31,9 @@ the state of the loop: one that makes its queue non-empty (it arms the
 head's deadline), one that fills a batch (it re-arbitrates), and one that
 brings its queue to ``max_queue_depth`` (every later arrival of that model
 is shed until the next scheduled event).  The loop finds the next such
-arrival with ``searchsorted`` over each model's arrival rows and admits
-or sheds everything before it as one range, so its work is per batch, not
-per request.
+arrival with ``bisect`` over each model's arrival rows and offers
+everything before it to the model's batcher as one span, so its work is
+per batch, not per request.
 
 With a :class:`~repro.serve.faults.FaultInjector` attached, worker
 lifecycle events (crash/repair, thermal throttle, permanent drain) join the
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Iterable, Mapping
 from typing import TYPE_CHECKING
 
@@ -59,7 +58,7 @@ import numpy as np
 
 from repro.arch.accelerator import PhotonicAccelerator
 from repro.nn.model import Sequential, SiameseModel
-from repro.serve.batcher import BatchPolicy
+from repro.serve.batcher import BatchPolicy, MicroBatcher
 from repro.serve.clock import (
     COMPLETION_PRIORITY,
     DEADLINE_PRIORITY,
@@ -117,9 +116,6 @@ def requests_from_traffic(
             f"traffic process {traffic.describe()} produced an arrival "
             f"at {float(late[0])}s, at or beyond its {traffic.duration_s}s window"
         )
-    negative = times[times < 0]
-    if negative.size:
-        raise ValueError(f"arrival_s must be >= 0, got {float(negative[0])}")
     request_id = np.arange(start_id, start_id + times.size, dtype=np.int64)
     return RequestColumns(
         request_id,
@@ -128,103 +124,6 @@ def requests_from_traffic(
         np.full(times.size, -1) if n_inputs is None else request_id % n_inputs,
         (model,),
     )
-
-
-class _ModelQueue:
-    """One model's FIFO admission queue over rows of the request columns.
-
-    ``rows`` are the model's request rows in arrival order (``positions``
-    holds them as a list, for ``bisect``) and ``offered`` counts how many
-    of them the loop has taken.  Admitted arrivals wait as
-    ``[start, stop)`` ranges of ``rows`` indices; shedding leaves a gap
-    between ranges.  Retried rows wait in ``front``, ahead of the ranges.
-    """
-
-    __slots__ = (
-        "name", "code", "rows", "positions", "offered", "front", "ranges", "depth",
-        "peak_depth",
-    )
-
-    def __init__(self, name: str, code: int, rows: np.ndarray) -> None:
-        self.name = name
-        self.code = code
-        self.rows = rows
-        self.positions = rows.tolist()
-        self.offered = 0
-        self.front: deque[int] = deque()
-        self.ranges: deque[list[int]] = deque()
-        self.depth = 0
-        self.peak_depth = 0
-
-    def until_change(self, max_batch_size: int, max_queue_depth: int | None) -> int | None:
-        """How many more arrivals until one changes the loop's state.
-
-        ``None`` when none can: the queue is full (every arrival is shed)
-        or already holds a full batch with no admission limit.
-        """
-        depth = self.depth
-        if depth == 0:
-            return 1
-        if max_queue_depth is not None:
-            if depth >= max_queue_depth:
-                return None
-            if depth >= max_batch_size:
-                return max_queue_depth - depth
-            return min(max_batch_size, max_queue_depth) - depth
-        return max_batch_size - depth if depth < max_batch_size else None
-
-    def admit(self, count: int) -> None:
-        """Admit the model's next ``count`` arrivals at the back."""
-        start = self.offered
-        self.offered = stop = start + count
-        ranges = self.ranges
-        if ranges and ranges[-1][1] == start:
-            ranges[-1][1] = stop
-        else:
-            ranges.append([start, stop])
-        self.depth += count
-        if self.depth > self.peak_depth:
-            self.peak_depth = self.depth
-
-    def shed(self, count: int) -> np.ndarray:
-        """Reject the model's next ``count`` arrivals; returns their rows."""
-        start = self.offered
-        self.offered = start + count
-        return self.rows[start:start + count]
-
-    def requeue_front(self, row: int) -> None:
-        """Re-admit a retried row at the head, outside the admission limit."""
-        self.front.appendleft(row)
-        self.depth += 1
-        if self.depth > self.peak_depth:
-            self.peak_depth = self.depth
-
-    def head(self) -> int:
-        """The row at the head of the (non-empty) queue."""
-        return self.front[0] if self.front else self.positions[self.ranges[0][0]]
-
-    def pop(self, size: int) -> np.ndarray:
-        """Remove the ``size`` oldest rows (``size <= depth``)."""
-        self.depth -= size
-        parts = []
-        front = self.front
-        while front and size:
-            parts.append(front.popleft())
-            size -= 1
-        if parts:
-            parts = [np.asarray(parts, dtype=np.intp)]
-        ranges = self.ranges
-        while size:
-            span = ranges[0]
-            start, stop = span
-            take = min(size, stop - start)
-            parts.append(self.rows[start:start + take])
-            if take == stop - start:
-                ranges.popleft()
-            else:
-                span[0] = start + take
-            size -= take
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class ServingRuntime:
@@ -379,10 +278,10 @@ class ServingRuntime:
         self._request_id = columns.request_id
         self._input_index = columns.input_index
         queues = self._queues = [
-            _ModelQueue(name, code, np.flatnonzero(columns.model == code))
+            MicroBatcher(name, self.policy, arrivals, np.flatnonzero(columns.model == code))
             for code, name in enumerate(self._models)
         ]
-        self._queue_of = {queue.name: queue for queue in queues}
+        self._queue_of = {queue.model: queue for queue in queues}
         self._row_model = columns.model
         clock = SimulationClock()
         profiler = self.obs.profiler if self.obs is not None else None
@@ -405,7 +304,6 @@ class ServingRuntime:
 
         shed = np.zeros(n_requests, dtype=bool)
         max_batch_size = self.policy.max_batch_size
-        max_queue_depth = self.policy.max_queue_depth
         max_wait_s = self.policy.max_wait_s
         handlers = self._handlers
         # Under drain=False nothing after the window runs, arrivals included.
@@ -433,9 +331,9 @@ class ServingRuntime:
                 span_ns0 = time.perf_counter_ns() if profiler is not None else 0
                 stop, changed, changed_count = limit, None, 0
                 for model_queue in queues:
-                    count = model_queue.until_change(max_batch_size, max_queue_depth)
+                    count = model_queue.arrivals_until_change()
                     if count is not None:
-                        index = model_queue.offered + count - 1
+                        index = model_queue.n_offered + count - 1
                         positions = model_queue.positions
                         if index < len(positions) and positions[index] < stop:
                             stop, changed, changed_count = positions[index], model_queue, count
@@ -444,14 +342,11 @@ class ServingRuntime:
                     if model_queue is changed:
                         count = changed_count
                     else:
-                        offered = model_queue.offered
+                        offered = model_queue.n_offered
                         count = bisect_left(model_queue.positions, stop, offered) - offered
-                    if not count:
-                        continue
-                    if max_queue_depth is not None and model_queue.depth >= max_queue_depth:
-                        shed[model_queue.shed(count)] = True
-                    else:
-                        model_queue.admit(count)
+                    if count and not model_queue.offer(count):
+                        offered = model_queue.n_offered
+                        shed[model_queue.rows[offered - count:offered]] = True
                 cursor = stop
                 if changed is not None:
                     now = clock.advance_to(arrivals[cursor])
@@ -461,7 +356,7 @@ class ServingRuntime:
                         # New queue head: arm its max-wait deadline wake-up.
                         queue.push(
                             now + max_wait_s, DEADLINE_PRIORITY,
-                            DeadlineEvent(changed.name, self._request_id.item(cursor - 1)),
+                            DeadlineEvent(changed.model, self._request_id.item(cursor - 1)),
                         )
                     if changed.depth == max_batch_size:
                         # Every same-instant completion, fault, retry and
@@ -564,8 +459,7 @@ class ServingRuntime:
     def _handle_deadline(self, event, now) -> None:
         # Advisory wake-up: the armed head may already have dispatched in a
         # full batch, so only act when the queue really holds a due batch.
-        model_queue = self._queue_of[event.model]
-        if model_queue.depth and now >= self._head_deadline_s(model_queue):
+        if self._queue_of[event.model].due(now):
             self._dispatch_ready(now)
 
     def _handle_completion(self, event, now) -> None:
@@ -664,8 +558,7 @@ class ServingRuntime:
         # batches never wait, and no deadline wake-up would catch one whose
         # head is not yet due.
         self._trace(now, "readmit", self._request_id.item(event.row))
-        model_queue = self._requeue_front(event.row, now)
-        if model_queue.depth >= self.policy.max_batch_size:
+        if self._requeue_front(event.row, now).has_full_batch():
             self._dispatch_ready(now)
 
     def _retry_or_fail(self, members: np.ndarray, now: float) -> None:
@@ -700,7 +593,7 @@ class ServingRuntime:
             else:
                 self._requeue_front(row, now)
 
-    def _requeue_front(self, row: int, now: float) -> _ModelQueue:
+    def _requeue_front(self, row: int, now: float) -> MicroBatcher:
         model_queue = self._queues[self._row_model.item(row)]
         model_queue.requeue_front(row)
         # The retried request is the new queue head and its original
@@ -708,54 +601,43 @@ class ServingRuntime:
         # giving it (and everything queued behind it) immediate dispatch
         # priority as soon as a worker is free.
         self._queue.push(
-            max(now, self._head_deadline_s(model_queue)),
+            max(now, model_queue.head_deadline_s),
             DEADLINE_PRIORITY,
-            DeadlineEvent(model_queue.name, self._request_id.item(row)),
+            DeadlineEvent(model_queue.model, self._request_id.item(row)),
         )
         return model_queue
 
     # ------------------------------------------------------------------ #
     # Dispatch arbitration
     # ------------------------------------------------------------------ #
-    def _head_deadline_s(self, model_queue: _ModelQueue) -> float:
-        return self._arrivals[model_queue.head()] + self.policy.max_wait_s
-
     def _dispatch_ready(self, now) -> None:
         """Dispatch every (batch, idle worker) pairing currently legal."""
-        policy = self.policy
         arrivals = self._arrivals
         while True:
             worker = self.pool.idle_worker(now)
             if worker is None:
                 return
             best = best_key = None
-            for model_queue in self._queues:
-                if not model_queue.depth:
-                    continue
-                head_s = arrivals[model_queue.head()]
-                if (
-                    model_queue.depth >= policy.max_batch_size
-                    or now >= head_s + policy.max_wait_s
-                ):
-                    key = (head_s, model_queue.name)
+            for code, model_queue in enumerate(self._queues):
+                if model_queue.depth and model_queue.dispatchable(now):
+                    key = (arrivals[model_queue.head], model_queue.model)
                     if best is None or key < best_key:
-                        best, best_key = model_queue, key
+                        best, best_key = code, key
             if best is None:
                 return
             self._dispatch_batch(best, worker, now)
 
-    def _dispatch_batch(self, model_queue, worker, now) -> None:
-        max_batch_size = self.policy.max_batch_size
-        deadline_triggered = model_queue.depth < max_batch_size
-        size = min(model_queue.depth, max_batch_size)
-        members = model_queue.pop(size)
-        latency_s = self.pool.batch_latency_s(worker, model_queue.name, size)
+    def _dispatch_batch(self, code, worker, now) -> None:
+        model_queue = self._queues[code]
+        members, deadline_triggered = model_queue.pop_batch(now)
+        size = members.size
+        latency_s = self.pool.batch_latency_s(worker, model_queue.model, size)
         if worker.derate != 1.0:
             # Thermal throttle: the episode's derate is priced into batches
             # *dispatched* during it (in-flight batches keep their price).
             latency_s *= worker.derate
         batch_id = self._metrics.record_dispatch(
-            model_queue.code, worker.worker_id, now, latency_s,
+            code, worker.worker_id, now, latency_s,
             worker.batch_energy_j(latency_s), deadline_triggered, members,
         )
         worker.dispatch(latency_s, now)
@@ -764,14 +646,14 @@ class ServingRuntime:
             self._attempts[members] += 1
         queue = self._queue
         queue.push(now + latency_s, COMPLETION_PRIORITY, CompletionEvent(batch_id))
-        self._trace(now, "dispatch", batch_id, worker.worker_id, size, model_queue.name)
+        self._trace(now, "dispatch", batch_id, worker.worker_id, size, model_queue.model)
         if model_queue.depth:
             # Re-arm the wake-up for the new queue head (it may already be
             # past due, in which case the event fires immediately "now").
             queue.push(
-                max(now, self._head_deadline_s(model_queue)),
+                max(now, model_queue.head_deadline_s),
                 DEADLINE_PRIORITY,
-                DeadlineEvent(model_queue.name, self._request_id.item(model_queue.head())),
+                DeadlineEvent(model_queue.model, self._request_id.item(model_queue.head)),
             )
 
 

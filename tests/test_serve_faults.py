@@ -439,6 +439,7 @@ class TestContracts:
             assert clone == report
             assert clone.event_trace == report.event_trace
             assert all(isinstance(e, TraceEvent) for e in clone.event_trace)
+            assert hash(clone) == hash(report)
 
     @pytest.mark.parametrize("backoff_s", [0.0, 30e-6], ids=["sync", "backoff"])
     def test_readmits_pair_with_backoff_retries(self, lenet, crosslight, backoff_s):

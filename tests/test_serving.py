@@ -97,6 +97,8 @@ class TestEventCore:
     def test_public_record_constructors_still_validate(self):
         with pytest.raises(ValueError, match="arrival_s"):
             Request(request_id=0, model="m", arrival_s=-1.0)
+        with pytest.raises(ValueError, match="input_index"):
+            Request(request_id=0, model="m", arrival_s=0.0, input_index=-1)
         with pytest.raises(ValueError, match="ordered"):
             RequestRecord(
                 request_id=0, model="m", arrival_s=1.0, dispatch_s=0.5,
@@ -227,6 +229,16 @@ class TestRequestColumns:
         assert [r.model for r in first] == ["a", "b", "c"]
         assert first[2] == Request(4, "c", 0.4)
 
+    def test_columns_validate_like_requests(self):
+        def columns(arrival_s, input_index):
+            return RequestColumns([0, 1], arrival_s, [0, 0], input_index, ("m",))
+
+        assert list(columns([0.0, 0.5], [-1, 3])) == [Request(0, "m", 0.0), Request(1, "m", 0.5, 3)]
+        with pytest.raises(ValueError, match="arrival_s"):
+            columns([0.0, -0.5], [-1, -1])
+        with pytest.raises(ValueError, match="input_index"):
+            columns([0.0, 0.5], [0, -2])
+
 
 # --------------------------------------------------------------------------- #
 # Micro-batcher
@@ -245,44 +257,73 @@ class TestMicroBatcher:
             BatchPolicy(max_queue_depth=0)
 
     def test_full_batch_dispatches_without_deadline(self):
-        batcher = MicroBatcher("m", BatchPolicy(max_batch_size=2, max_wait_s=1.0))
-        batcher.offer(_request(0, 0.0), 0.0)
+        batcher = MicroBatcher("m", BatchPolicy(max_batch_size=2, max_wait_s=1.0), [0.0, 0.1])
+        assert batcher.offer()
         assert not batcher.dispatchable(0.0)
-        batcher.offer(_request(1, 0.1), 0.1)
+        assert batcher.offer()
         assert batcher.has_full_batch() and batcher.dispatchable(0.1)
         batch, deadline_triggered = batcher.pop_batch(0.1)
-        assert [r.request_id for r in batch] == [0, 1]
+        assert batch.tolist() == [0, 1]
         assert not deadline_triggered
 
     def test_deadline_releases_partial_batch(self):
-        batcher = MicroBatcher("m", BatchPolicy(max_batch_size=8, max_wait_s=0.5))
-        batcher.offer(_request(0, 0.0), 0.0)
+        batcher = MicroBatcher("m", BatchPolicy(max_batch_size=8, max_wait_s=0.5), [0.0])
+        batcher.offer()
+        assert batcher.head_deadline_s == 0.5
         assert not batcher.dispatchable(0.49)
         assert batcher.dispatchable(0.5)
         batch, deadline_triggered = batcher.pop_batch(0.5)
         assert len(batch) == 1 and deadline_triggered
 
     def test_premature_pop_raises(self):
-        batcher = MicroBatcher("m", BatchPolicy(max_batch_size=8, max_wait_s=0.5))
-        batcher.offer(_request(0, 0.0), 0.0)
+        batcher = MicroBatcher("m", BatchPolicy(max_batch_size=8, max_wait_s=0.5), [0.0])
+        batcher.offer()
         with pytest.raises(RuntimeError):
             batcher.pop_batch(0.1)
         with pytest.raises(IndexError):
-            MicroBatcher("m", BatchPolicy()).pop_batch(0.0)
+            MicroBatcher("m", BatchPolicy(), []).pop_batch(0.0)
 
     def test_backpressure_sheds_beyond_depth(self):
         batcher = MicroBatcher(
-            "m", BatchPolicy(max_batch_size=4, max_wait_s=1.0, max_queue_depth=2)
+            "m", BatchPolicy(max_batch_size=4, max_wait_s=1.0, max_queue_depth=2),
+            [0.0, 0.0, 0.0],
         )
-        assert batcher.offer(_request(0, 0.0), 0.0)
-        assert batcher.offer(_request(1, 0.0), 0.0)
-        assert not batcher.offer(_request(2, 0.0), 0.0)
+        assert batcher.offer()
+        assert batcher.offer()
+        assert not batcher.offer()
         assert batcher.n_shed == 1 and batcher.depth == 2
 
     def test_wrong_model_rejected(self):
-        batcher = MicroBatcher("m", BatchPolicy())
+        # Rows 0 and 2 are this model's; row 1 belongs to another model.
+        batcher = MicroBatcher("m", BatchPolicy(), [0.0, 0.1, 0.2], rows=np.array([0, 2]))
+        batcher.offer(2)
         with pytest.raises(ValueError):
-            batcher.offer(_request(0, 0.0, model="other"), 0.0)
+            batcher.requeue_front(1)
+        with pytest.raises(IndexError):
+            batcher.offer()
+
+    def test_requeue_needs_an_offered_row(self):
+        batcher = MicroBatcher("m", BatchPolicy(), [0.0, 0.1])
+        batcher.offer()
+        with pytest.raises(ValueError):
+            batcher.requeue_front(1)
+        batcher.requeue_front(0)
+        assert batcher.head == 0 and batcher.depth == 2 and batcher.peak_depth == 2
+
+    def test_span_stops_at_every_state_change(self):
+        policy = BatchPolicy(max_batch_size=3, max_wait_s=1.0, max_queue_depth=5)
+        batcher = MicroBatcher("m", policy, [0.0] * 10)
+        steps = []
+        while batcher.n_offered < 10:
+            count = batcher.arrivals_until_change()
+            if count is None:
+                count = 10 - batcher.n_offered
+            steps.append((count, batcher.offer(count)))
+        # Arm the head, fill the batch, fill the queue, then shed the rest.
+        assert steps == [(1, True), (2, True), (2, True), (5, False)]
+        assert batcher.n_shed == 5 and batcher.depth == 5
+        with pytest.raises(ValueError):
+            MicroBatcher("m", policy, [0.0] * 6).offer(6)
 
     @given(
         arrivals=st.lists(
@@ -297,22 +338,21 @@ class TestMicroBatcher:
     def test_batcher_invariants_under_random_arrivals(self, arrivals, max_batch, depth):
         """Batches never exceed max size, keep FIFO order, and conserve."""
         policy = BatchPolicy(max_batch_size=max_batch, max_wait_s=0.25, max_queue_depth=depth)
-        batcher = MicroBatcher("m", policy)
+        arrivals = sorted(arrivals)
+        batcher = MicroBatcher("m", policy, arrivals)
         popped: list[int] = []
-        now = 0.0
-        for index, time in enumerate(sorted(arrivals)):
-            now = time
-            batcher.offer(_request(index, time), now)
+        for now in arrivals:
+            batcher.offer()
             while batcher.dispatchable(now):
                 batch, _ = batcher.pop_batch(now)
                 assert 1 <= len(batch) <= max_batch
-                popped.extend(r.request_id for r in batch)
+                popped.extend(batch.tolist())
         # Drain whatever deadline-bound tail remains.
         while len(batcher):
             now = batcher.head_deadline_s
             batch, _ = batcher.pop_batch(now)
             assert len(batch) <= max_batch
-            popped.extend(r.request_id for r in batch)
+            popped.extend(batch.tolist())
         assert popped == sorted(popped)  # FIFO
         assert len(popped) + batcher.n_shed == len(arrivals)
         if depth is not None:
