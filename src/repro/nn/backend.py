@@ -6,12 +6,14 @@ process-wide instance :func:`active_backend` is what
 :mod:`repro.nn.functional` calls on every kernel invocation.  The kernels
 are numpy and *bit-identical* to the pre-kernel-object implementations at
 every dtype (the im2col lowering is a pure gather, the GEMMs issue the exact
-same BLAS calls, and col2im accumulates in the exact same slice order), so
-the float64 results of every experiment are unchanged.  They are
-nevertheless substantially faster than the historical kernels: the
-im2col/col2im patch geometry is compiled once per layer geometry into a
-cached gather index and applied with one fused :func:`numpy.take` per call
-instead of a python loop plus a 6-D transpose copy.
+same BLAS calls, and col2im adds every pixel's addends in the exact same
+tap order), so the float64 results of every experiment are unchanged.  They
+are nevertheless substantially faster than the historical kernels: the
+im2col patch geometry is compiled once per layer geometry into a cached
+gather index and applied with one fused :func:`numpy.take` per call instead
+of a python loop plus a 6-D transpose copy, and col2im folds each tap
+straight from a strided view of the columns into an NHWC buffer, so the
+column matrix is never copied.
 
 Orthogonal to the kernels is the precision they run at:
 :class:`PrecisionPolicy` names the two supported compute modes,
@@ -186,9 +188,13 @@ class ComputeBackend:
     through a cached per-geometry index (measured 3-7x faster than the
     historical slice-loop plus 6-D transpose copy, with byte-identical
     output -- a gather moves values, it never re-computes them).  col2im
-    keeps the historical ordered slice accumulation: the summation *order*
+    keeps the historical ordered slice accumulation -- the summation *order*
     of overlapping patches is part of the bit-identity contract of the
-    float64 training path.
+    float64 training path -- but folds into a channels-last (NHWC) buffer,
+    where each tap's addends are a strided view of the columns as they are,
+    and returns the NCHW view of that buffer.  Layout changes which memory
+    an add touches, never which numbers it adds or in which order, so the
+    fold is bit-identical to the historical NCHW one.
     """
 
     #: Provenance label recorded next to benchmark results.
@@ -218,13 +224,11 @@ class ComputeBackend:
         n, c, h, w = images.shape
         out_h = _conv_output_size(h, kernel_h, stride, padding)
         out_w = _conv_output_size(w, kernel_w, stride, padding)
-        if padding:
-            images = np.pad(
-                images,
-                ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                mode="constant",
-            )
         hp, wp = h + 2 * padding, w + 2 * padding
+        if padding:
+            framed = np.zeros((n, c, hp, wp), dtype=images.dtype)
+            framed[:, :, padding : padding + h, padding : padding + w] = images
+            images = framed
         index = self._patch_index.get(c, hp, wp, kernel_h, kernel_w, stride, out_h, out_w)
         flat = np.ascontiguousarray(images).reshape(n, c * hp * wp)
         cols = np.take(flat, index, axis=1)
@@ -245,22 +249,23 @@ class ComputeBackend:
         out_w = _conv_output_size(w, kernel_w, stride, padding)
         # Overlapping patches accumulate in (y, x) tap order; keeping that
         # order is what makes the float64 training path bit-identical to
-        # the pre-backend implementation.  The single up-front transpose
-        # into tap-major layout makes every per-tap addend a *contiguous*
-        # (N, C, out_h, out_w) block -- same summands, same order, one
-        # optimized copy instead of a strided gather per tap.
-        moved = np.ascontiguousarray(
-            cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w).transpose(4, 5, 0, 3, 1, 2)
-        )
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+        # the pre-backend implementation.  The fold runs in NHWC, the
+        # layout the columns already have: each tap's addend is the strided
+        # view ``taps[..., y, x]`` of shape (N, out_h, out_w, C), added
+        # without first copying the column matrix.  Every pixel still gets
+        # the same addends in the same (y, x) order, so the sums -- and the
+        # NCHW view returned -- are bit-identical.
+        taps = cols.reshape(n, out_h, out_w, c, kernel_h, kernel_w)
+        padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
         for y in range(kernel_h):
             y_max = y + stride * out_h
             for x in range(kernel_w):
                 x_max = x + stride * out_w
-                padded[:, :, y:y_max:stride, x:x_max:stride] += moved[y, x]
+                padded[:, y:y_max:stride, x:x_max:stride] += taps[..., y, x]
+        images = padded.transpose(0, 3, 1, 2)
         if padding == 0:
-            return padded
-        return padded[:, :, padding:-padding, padding:-padding]
+            return images
+        return images[:, :, padding:-padding, padding:-padding]
 
     # -- Elementwise activations ---------------------------------------- #
     def relu(self, x: np.ndarray) -> np.ndarray:

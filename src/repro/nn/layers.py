@@ -166,8 +166,9 @@ class Dense(Layer):
         self.use_bias = use_bias
         self.weight = glorot_uniform((in_features, out_features), rng)
         self.bias = zeros((out_features,)) if use_bias else None
-        self._grad_weight = np.zeros_like(self.weight)
-        self._grad_bias = np.zeros_like(self.bias) if use_bias else None
+        # np.zeros (calloc), not zeros_like: no page is touched before backward replaces it.
+        self._grad_weight = np.zeros(self.weight.shape, self.weight.dtype)
+        self._grad_bias = np.zeros(self.bias.shape, self.bias.dtype) if use_bias else None
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -298,8 +299,9 @@ class Conv2D(Layer):
             (out_channels, in_channels, kernel_size, kernel_size), rng
         )
         self.bias = zeros((out_channels,)) if use_bias else None
-        self._grad_weight = np.zeros_like(self.weight)
-        self._grad_bias = np.zeros_like(self.bias) if use_bias else None
+        # np.zeros (calloc), not zeros_like: no page is touched before backward replaces it.
+        self._grad_weight = np.zeros(self.weight.shape, self.weight.dtype)
+        self._grad_bias = np.zeros(self.bias.shape, self.bias.dtype) if use_bias else None
         self._cache: tuple | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -672,8 +674,9 @@ class BatchNorm(Layer):
         self.beta = np.zeros(num_features)
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
-        self._grad_gamma = np.zeros_like(self.gamma)
-        self._grad_beta = np.zeros_like(self.beta)
+        # np.zeros (calloc), not zeros_like: no page is touched before backward replaces it.
+        self._grad_gamma = np.zeros(self.gamma.shape, self.gamma.dtype)
+        self._grad_beta = np.zeros(self.beta.shape, self.beta.dtype)
         self._cache: tuple | None = None
 
     def _reshape_stats(self, array: np.ndarray, ndim: int) -> np.ndarray:

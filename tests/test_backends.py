@@ -143,6 +143,62 @@ class TestComputeKernelBitIdentity:
             np.testing.assert_array_equal(result[member], layer.forward(inputs))
 
 
+def _assert_same_bytes(result, expected):
+    # Byte comparison, unlike assert_array_equal, also tells -0.0 from 0.0.
+    assert result.dtype == expected.dtype
+    assert result.shape == expected.shape
+    assert np.ascontiguousarray(result).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+class TestComputeKernelsAtFig5Scale:
+    """Fixed fig5-sized geometries, beyond the small hypothesis ones."""
+
+    @staticmethod
+    def _check_pair(images, k, stride, padding, seed):
+        n, c, h, w = images.shape
+        _assert_same_bytes(
+            F.im2col(images, k, k, stride, padding), ref_im2col(images, k, k, stride, padding)
+        )
+        out_h = F.conv_output_size(h, k, stride, padding)
+        out_w = F.conv_output_size(w, k, stride, padding)
+        cols = (
+            np.random.default_rng(seed)
+            .standard_normal((n * out_h * out_w, c * k * k))
+            .astype(images.dtype)
+        )
+        # Exact zeros of both signs exercise the -0.0 case of the fold.
+        cols[::7] = 0.0
+        cols[3::11] = -0.0
+        _assert_same_bytes(
+            F.col2im(cols, images.shape, k, k, stride, padding),
+            ref_col2im(cols, images.shape, k, k, stride, padding),
+        )
+
+    @pytest.mark.parametrize("size", [6, 12, 16, 24])
+    @pytest.mark.parametrize("channels", [3, 8, 16, 24])
+    def test_same_padding_3x3(self, channels, size):
+        images = np.random.default_rng(channels * size).standard_normal(
+            (32, channels, size, size)
+        )
+        self._check_pair(images, 3, 1, 1, seed=size)
+
+    @pytest.mark.parametrize(("stride", "padding"), [(2, 1), (1, 0)])
+    def test_stride_and_padding_variants(self, stride, padding):
+        images = np.random.default_rng(stride).standard_normal((32, 8, 24, 24))
+        self._check_pair(images, 3, stride, padding, seed=padding)
+
+    def test_non_contiguous_nchw_input(self):
+        # The layout Conv2D.forward hands the next layer: an NHWC buffer
+        # viewed as NCHW.
+        images = np.random.default_rng(5).standard_normal((32, 12, 12, 16)).transpose(0, 3, 1, 2)
+        assert not images.flags.c_contiguous
+        self._check_pair(images, 3, 1, 1, seed=5)
+
+    def test_float32(self):
+        images = np.random.default_rng(6).standard_normal((32, 8, 16, 16)).astype(np.float32)
+        self._check_pair(images, 3, 1, 1, seed=6)
+
+
 class TestFloat32Tolerance:
     """Float32 kernels stay within the policy's documented relative error."""
 

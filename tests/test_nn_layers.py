@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,7 @@ from repro.nn import (
     Flatten,
     MaxPool2D,
     ReLU,
+    Sequential,
     Sigmoid,
     Tanh,
 )
@@ -237,3 +243,57 @@ class TestActivationsAndRegularizers:
         layer.eval()
         out = layer.forward(np.ones((2, 4)))
         assert np.all(np.isfinite(out))
+
+
+class TestGradientBuffers:
+    """Gradient buffers read as zeros before backward, without costing memory."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Dense(6, 4),
+            lambda: Dense(6, 4, use_bias=False),
+            lambda: Conv2D(2, 3, kernel_size=3, padding=1),
+            lambda: BatchNorm(5),
+        ],
+        ids=["dense", "dense-no-bias", "conv", "batchnorm"],
+    )
+    def test_zero_before_first_backward(self, make):
+        layer = make()
+        self._assert_zero_gradients(layer, np.float64)
+        Sequential([layer], input_shape=(1,)).astype(np.float32)
+        self._assert_zero_gradients(layer, np.float32)
+
+    @staticmethod
+    def _assert_zero_gradients(layer, dtype):
+        params, grads = layer.parameters(), layer.gradients()
+        assert grads.keys() == params.keys()
+        for name, param in params.items():
+            assert param.dtype == dtype
+            assert grads[name].shape == param.shape
+            assert grads[name].dtype == param.dtype
+            assert not grads[name].any()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux-specific")
+    def test_full_size_build_touches_no_gradient_pages(self):
+        # A fresh interpreter, so the peak RSS measured is this build's alone.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import resource\n"
+            "from repro.nn import build_model\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "model = build_model(4)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "params = sum(p.nbytes for l in model.trunk.layers for p in l.parameters().values())\n"
+            "print((after - before) * 1024, params)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        grown, param_bytes = (int(v) for v in proc.stdout.split())
+        # Parameters alone are 1.0x; a zero-filled gradient buffer doubles it.
+        assert grown < 1.5 * param_bytes, (grown, param_bytes)
