@@ -16,6 +16,8 @@ subsystem guarantees:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,8 +45,15 @@ from repro.serve import (
     requests_from_traffic,
     serve_trace,
 )
+from repro.sim.noise import (
+    FPVDriftChannel,
+    NoiseStack,
+    QuantizationChannel,
+    ResidualDriftChannel,
+)
 from repro.sim.simulator import simulate_models
 from repro.sim.tracer import trace_model
+from test_serve_merge_golden import FAULTY
 
 
 @pytest.fixture(scope="module")
@@ -694,6 +703,21 @@ class TestMultiModel:
             assert {request.model for request in batch.requests} == {batch.model}
 
 
+GOLDEN_STACKS = {
+    "q6_drift": (6, NoiseStack([QuantizationChannel(bits=6), ResidualDriftChannel(0.3)])),
+    "q8_fpv": (8, NoiseStack([QuantizationChannel(bits=8), FPVDriftChannel()])),
+}
+
+#: sha256 of the sorted ``(request_id, class)`` pairs of ``report.outputs``.
+FUNCTIONAL_GOLDEN = [
+    ("q6_drift", 0, False, "223a220565dbd9a55358a675128210ffbda5a40ac2295a277375d81d1047d645"),
+    ("q6_drift", 5, False, "dff6f29e4a75cf7bfd3372e5f1cc33bd1f9592f8aa5173447c8b9caa52a5c57e"),
+    ("q8_fpv", 0, False, "e03fdac7093528bdf215646c5797f699fe8c707a0e4c28da924a14e93a7f00ff"),
+    ("q8_fpv", 5, False, "9f761f7c98020f99dbf2c9641c75100c82218fb86e60d599401021c22052f181"),
+    ("q6_drift", 0, True, "5dd2e9bb36d6da7c7f1939ba2f06b5afca355ab3fae154da8d4c863941a9b865"),
+]
+
+
 class TestFunctionalServing:
     def test_outputs_match_noiseless_model(self, crosslight):
         model = build_model(1, compact=True)
@@ -717,8 +741,6 @@ class TestFunctionalServing:
             ]
 
     def test_functional_serving_is_seed_reproducible(self, crosslight):
-        from repro.sim.noise import NoiseStack, QuantizationChannel, ResidualDriftChannel
-
         model = build_model(1, compact=True)
         inputs = np.random.default_rng(1).normal(size=(16, 1, 16, 16))
         stack = NoiseStack([QuantizationChannel(bits=6), ResidualDriftChannel(0.3)])
@@ -738,6 +760,37 @@ class TestFunctionalServing:
         ]
         assert runs[0].outputs == runs[1].outputs
         assert runs[0].event_trace == runs[1].event_trace
+
+    @pytest.mark.parametrize(
+        "stack_name, seed, faulty, digest",
+        FUNCTIONAL_GOLDEN,
+        ids=[
+            f"{name}-seed{seed}{'-faulty' * faulty}"
+            for name, seed, faulty, _ in FUNCTIONAL_GOLDEN
+        ],
+    )
+    def test_functional_outputs_match_golden(self, crosslight, stack_name, seed, faulty, digest):
+        """Pins the predicted classes, not only run-to-run equality.
+
+        A worker's noise stream must advance across its batches: re-seeding
+        every batch still replays identically from run to run, but changes
+        most predictions under the drift stacks.
+        """
+        bits, stack = GOLDEN_STACKS[stack_name]
+        report = serve_trace(
+            build_model(1, compact=True),
+            crosslight,
+            PoissonTraffic(rate_rps=30_000.0, duration_s=0.004),
+            BatchPolicy(max_batch_size=4, max_wait_s=100e-6),
+            n_workers=2,
+            seed=seed,
+            inputs=np.random.default_rng(1).normal(size=(16, 1, 16, 16)),
+            noise_stack=stack,
+            activation_bits=bits,
+            faults=FAULTY if faulty else None,
+        )
+        pairs = sorted(report.outputs.items())
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
 
 # --------------------------------------------------------------------------- #
