@@ -4,8 +4,8 @@ These cases track the hot paths the perf refactors optimised, so the
 speedups stay visible in the ``BENCH_*.json`` artefacts going forward
 (``benchmarks/compare.py`` guards them against regression in CI):
 
-* :meth:`repro.sim.photonic_inference.PhotonicInferenceEngine.\
-perturbed_weights` on a Conv2D-sized weight tensor -- formerly one Python
+* :meth:`repro.sim.noise.NoiseStack.apply` of the default quantize-then-drift
+  stack on a Conv2D-sized weight tensor -- formerly one Python
   Lorentzian call per weight element, now a single vectorized evaluation
   (PR 1 acceptance: >= 20x over the seed per-element loop, elementwise
   identical);
@@ -14,8 +14,8 @@ perturbed_weights` on a Conv2D-sized weight tensor -- formerly one Python
   once for all members, drift channels share their member-independent
   Lorentzian profiles;
 * :func:`repro.sim.photonic_inference.monte_carlo_accuracy` -- 16 seeds on
-  the fig5 CNN through the ensemble-vectorized inference engine versus the
-  historical one-engine-per-seed loop, with per-seed accuracies
+  the fig5 CNN through the ensemble-vectorized inference engine versus a
+  loop of one-member evaluations, one per seed, with per-seed accuracies
   elementwise identical at float64;
 * :func:`repro.tuning.ted.tuning_power_vs_pitch` -- the Fig. 4 sweep on the
   unified sweep engine with memoized crosstalk matrices and TED
@@ -37,12 +37,18 @@ import time
 
 import numpy as np
 
+from repro.devices.mr import MicroringResonator
 from repro.nn.datasets import sign_mnist_synthetic
 from repro.nn.quantization import quantize_array
 from repro.nn.zoo import build_model
-from repro.sim.noise import FPVDriftChannel, NoiseStack, QuantizationChannel
+from repro.sim.noise import (
+    FPVDriftChannel,
+    NoiseStack,
+    QuantizationChannel,
+    default_noise_stack,
+)
 from repro.sim.photonic_inference import (
-    PhotonicInferenceEngine,
+    evaluate_ensemble,
     ideal_model_accuracy,
     monte_carlo_accuracy,
 )
@@ -53,41 +59,43 @@ CONV2D_SHAPE = (64, 32, 3, 3)
 RESIDUAL_DRIFT_NM = 0.5
 
 
-def _seed_perturbed_weights(engine: PhotonicInferenceEngine, weights: np.ndarray) -> np.ndarray:
+def _seed_perturbed_weights(
+    weights: np.ndarray,
+    resolution_bits: int,
+    residual_drift_nm: float,
+    mr: MicroringResonator,
+    rng: np.random.Generator,
+) -> np.ndarray:
     """The seed (pre-vectorization) implementation: one MR call per element."""
-    quantized = quantize_array(weights, engine.resolution_bits)
+    quantized = quantize_array(weights, resolution_bits)
     max_abs = float(np.max(np.abs(quantized)))
     normalised = np.abs(quantized) / max_abs
     errors = np.array(
         [
-            engine.mr.transmission_error_from_drift(float(v), engine.residual_drift_nm)
+            mr.transmission_error_from_drift(float(v), residual_drift_nm)
             for v in normalised.reshape(-1)
         ]
     ).reshape(normalised.shape)
-    signs = engine._rng.choice([-1.0, 1.0], size=errors.shape)
+    signs = rng.choice([-1.0, 1.0], size=errors.shape)
     return quantized + signs * errors * max_abs
 
 
 def test_perturbed_weights_conv2d_tensor(benchmark):
     rng = np.random.default_rng(0)
     weights = rng.normal(size=CONV2D_SHAPE)
+    stack = default_noise_stack(16, RESIDUAL_DRIFT_NM)
+    mr = MicroringResonator.optimized()
 
-    engine = PhotonicInferenceEngine(
-        resolution_bits=16, residual_drift_nm=RESIDUAL_DRIFT_NM, seed=0
-    )
-    result = benchmark(engine.perturbed_weights, weights)
+    result = benchmark(lambda: stack.apply(weights, np.random.default_rng(0)))
     assert result.shape == CONV2D_SHAPE
 
     # Elementwise identity with the seed implementation (same seed, so the
     # random error signs are drawn identically).
-    vec_engine = PhotonicInferenceEngine(
-        resolution_bits=16, residual_drift_nm=RESIDUAL_DRIFT_NM, seed=0
-    )
-    ref_engine = PhotonicInferenceEngine(
-        resolution_bits=16, residual_drift_nm=RESIDUAL_DRIFT_NM, seed=0
-    )
     np.testing.assert_array_equal(
-        vec_engine.perturbed_weights(weights), _seed_perturbed_weights(ref_engine, weights)
+        stack.apply(weights, np.random.default_rng(0)),
+        _seed_perturbed_weights(
+            weights, 16, RESIDUAL_DRIFT_NM, mr, np.random.default_rng(0)
+        ),
     )
 
     # Acceptance criterion: >= 20x faster than the seed per-element loop.
@@ -95,9 +103,11 @@ def test_perturbed_weights_conv2d_tensor(benchmark):
     # the same clock; the observed speedup is two to three orders of
     # magnitude, so the margin over 20x is wide.)
     best_vectorized = min(
-        _timed(lambda: engine.perturbed_weights(weights)) for _ in range(5)
+        _timed(lambda: stack.apply(weights, rng)) for _ in range(5)
     )
-    seed_elapsed = _timed(lambda: _seed_perturbed_weights(engine, weights))
+    seed_elapsed = _timed(
+        lambda: _seed_perturbed_weights(weights, 16, RESIDUAL_DRIFT_NM, mr, rng)
+    )
     speedup = seed_elapsed / best_vectorized
     print(
         f"\nperturbed_weights {CONV2D_SHAPE}: vectorized {best_vectorized * 1e3:.2f} ms, "
@@ -191,11 +201,11 @@ def test_monte_carlo_accuracy_ensemble(benchmark):
     def per_seed_loop():
         records = []
         for seed in range(MONTE_CARLO_SEEDS):
-            engine = PhotonicInferenceEngine.from_stack(
-                stack, activation_bits=16, seed=seed
-            )
-            records.append(
-                engine.evaluate(model, test_x, test_y, ideal_accuracy=ideal)
+            records.extend(
+                evaluate_ensemble(
+                    model, test_x, test_y, stack, [seed],
+                    activation_bits=16, ideal_accuracy=ideal,
+                )
             )
         return records
 

@@ -90,7 +90,6 @@ from repro.sim.noise import (
 from repro.sim.photonic_inference import (
     EnsembleInferenceEngine,
     MonteCarloAccuracy,
-    PhotonicInferenceEngine,
     PhotonicInferenceResult,
     accuracy_vs_residual_drift,
     evaluate_ensemble,
@@ -139,7 +138,6 @@ __all__ = [
     "NoiseChannel",
     "NoiseStack",
     "Observability",
-    "PhotonicInferenceEngine",
     "PhotonicInferenceResult",
     "PoissonTraffic",
     "QuantizationChannel",

@@ -82,7 +82,7 @@ from repro.serve.metrics import FailureRecord, MetricsCollector, ServingReport
 from repro.serve.traffic import TrafficProcess
 from repro.serve.workers import AcceleratorWorker, WorkerPool
 from repro.sim.noise import NoiseStack
-from repro.sim.photonic_inference import PhotonicInferenceEngine
+from repro.sim.photonic_inference import EnsembleInferenceEngine
 from repro.sim.tracer import trace_model
 from repro.utils.validation import check_positive_int
 
@@ -146,10 +146,14 @@ class ServingRuntime:
         actual inputs through the dispatching worker's inference engine
         and the report carries per-request predicted classes.
     engines:
-        Per-worker inference engines (length ``n_workers``); required only
-        when ``functional`` models are served.  Seeding each worker's
-        engine differently models per-device noise diversity across the
-        fleet.
+        Per-worker one-member
+        :class:`~repro.sim.photonic_inference.EnsembleInferenceEngine`
+        objects (length ``n_workers``); required only when ``functional``
+        models are served.  Seeding each worker's engine differently models
+        per-device noise diversity across the fleet.  A member seeded with
+        an ``np.random.Generator`` advances that stream once per completed
+        batch, so every batch draws a fresh weight realisation; an integer
+        seed would replay the same realisation on every batch.
     faults:
         Optional fault injection: a :class:`~repro.serve.faults.FaultInjector`
         (or a bare :class:`~repro.serve.faults.FaultModel`, wrapped with the
@@ -177,7 +181,7 @@ class ServingRuntime:
         *,
         n_workers: int = 1,
         functional: Mapping[str, tuple[Sequential, np.ndarray]] | None = None,
-        engines: list[PhotonicInferenceEngine] | None = None,
+        engines: list[EnsembleInferenceEngine] | None = None,
         faults: FaultInjector | FaultModel | None = None,
         retry: RetryPolicy | None = None,
         obs: "Observability | None" = None,
@@ -965,8 +969,10 @@ def serve_trace(
         functional = {name: (model, inputs)}
         stack = noise_stack if noise_stack is not None else NoiseStack(())
         engines = [
-            PhotonicInferenceEngine.from_stack(
-                stack, activation_bits=activation_bits, seed=seed + worker_id
+            EnsembleInferenceEngine(
+                stack,
+                [np.random.default_rng(seed + worker_id)],
+                activation_bits=activation_bits,
             )
             for worker_id in range(n_workers)
         ]

@@ -4,8 +4,8 @@ Each :class:`AcceleratorWorker` wraps one :class:`~repro.arch.accelerator.\
 PhotonicAccelerator`: the accelerator's analytic model prices every
 dispatched micro-batch (latency via
 :meth:`~repro.arch.accelerator.PhotonicAccelerator.batch_latency_s`, energy
-as busy-time x total power), and an optional
-:class:`~repro.sim.photonic_inference.PhotonicInferenceEngine` produces
+as busy-time x total power), and an optional one-member
+:class:`~repro.sim.photonic_inference.EnsembleInferenceEngine` produces
 *functional* outputs -- actual logits through the worker's own noise stack,
 so a fleet models per-device FPV diversity by seeding each worker's engine
 differently.
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.arch.accelerator import PhotonicAccelerator
 from repro.nn.layers import LayerWorkload
-from repro.sim.photonic_inference import PhotonicInferenceEngine
+from repro.sim.photonic_inference import EnsembleInferenceEngine
 
 
 class AcceleratorWorker:
@@ -48,18 +48,19 @@ class AcceleratorWorker:
         Workers of one fleet may share an accelerator object (it is only
         read) or wrap differently configured instances.
     engine:
-        Optional functional-inference engine.  When present, completed
-        batches run their actual inputs through the engine's noise stack;
-        each prediction consumes the engine's random stream in batch
-        *completion* order (the order the runtime processes results), so a
-        fixed seed replays identical outputs.
+        Optional one-member functional-inference engine, seeded with an
+        ``np.random.Generator``.  When present, completed batches run their
+        actual inputs through the engine's noise stack; each prediction
+        advances the Generator in batch *completion* order (the order the
+        runtime processes results), so a fixed seed replays identical
+        outputs.
     """
 
     def __init__(
         self,
         worker_id: int,
         accelerator: PhotonicAccelerator,
-        engine: PhotonicInferenceEngine | None = None,
+        engine: EnsembleInferenceEngine | None = None,
     ) -> None:
         self.worker_id = worker_id
         self.accelerator = accelerator
@@ -178,7 +179,7 @@ class AcceleratorWorker:
                 f"worker {self.worker_id} has no inference engine attached"
             )
         logits = self.engine.predict(model, inputs, batch_size=inputs.shape[0])
-        return np.argmax(logits, axis=1)
+        return np.argmax(logits[0], axis=1)
 
 
 class WorkerPool:

@@ -28,7 +28,6 @@ from repro.sim.noise import (
 from repro.sim.photonic_inference import (
     EnsembleInferenceEngine,
     MonteCarloAccuracy,
-    PhotonicInferenceEngine,
     PhotonicInferenceResult,
     accuracy_vs_residual_drift,
     clear_ideal_accuracy_cache,
@@ -69,7 +68,6 @@ __all__ = [
     "MonteCarloAccuracy",
     "NoiseChannel",
     "NoiseStack",
-    "PhotonicInferenceEngine",
     "PhotonicInferenceResult",
     "QuantizationChannel",
     "ResidualDriftChannel",

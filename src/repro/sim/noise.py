@@ -25,7 +25,7 @@ transmissions an MR bank imprints.
   :mod:`repro.variations.thermal`;
 * :class:`NoiseStack` -- an ordered composition of channels that is itself a
   channel, consumed by
-  :class:`repro.sim.photonic_inference.PhotonicInferenceEngine`.
+  :class:`repro.sim.photonic_inference.EnsembleInferenceEngine`.
 
 All channels are array-first (one vectorized evaluation per weight tensor),
 stateless between calls (randomness comes from the generator passed to
@@ -617,12 +617,12 @@ def default_noise_stack(
     residual_drift_nm: float = 0.0,
     mr: MicroringResonator | None = None,
 ) -> NoiseStack:
-    """The engine's historical two-channel stack: quantize, then drift.
+    """The two-channel stack of the drift studies: quantize, then drift.
 
-    :class:`repro.sim.photonic_inference.PhotonicInferenceEngine` built with
-    the legacy ``(resolution_bits, residual_drift_nm)`` constructor is a thin
-    factory over exactly this stack; the output is elementwise-identical to
-    the pre-stack engine.
+    :func:`repro.sim.photonic_inference.accuracy_vs_residual_drift` builds
+    one per drift point; its output is elementwise identical to the
+    original two-parameter ``(resolution_bits, residual_drift_nm)`` weight
+    perturbation.
     """
     check_positive_int("resolution_bits", resolution_bits)
     check_non_negative("residual_drift_nm", residual_drift_nm)

@@ -14,11 +14,6 @@ here runs a model's weights through a stack (and optionally quantizes the
 activations flowing between layers), so any combination of effects can be
 evaluated without touching the engine:
 
-* the legacy two-channel constructor
-  (``PhotonicInferenceEngine(resolution_bits=..., residual_drift_nm=...)``)
-  is a thin factory over :func:`repro.sim.noise.default_noise_stack` and
-  reproduces the pre-stack engine elementwise;
-* :meth:`PhotonicInferenceEngine.from_stack` accepts arbitrary stacks;
 * :class:`EnsembleInferenceEngine` / :func:`evaluate_ensemble` evaluate E
   perturbed realisations of one model *in fused forward passes*: weight
   stacks are sampled through the vectorized
@@ -27,7 +22,9 @@ evaluated without touching the engine:
   matrices are computed once per input batch and shared across members --
   with chunking over the member and batch axes to bound peak memory and an
   opt-in float32 compute mode.  At float64 the ensemble is elementwise
-  identical to evaluating the members one engine at a time;
+  identical to evaluating each member alone with a sequential forward pass.
+  A one-member engine over a caller-owned ``np.random.Generator`` is how
+  functional serving runs each worker's device;
 * :func:`monte_carlo_accuracy` runs seeded FPV/crosstalk trials on the
   ensemble path (``n_workers > 1`` spreads contiguous *seed chunks*, each
   itself ensemble-vectorized, over a process pool) and reports mean/std
@@ -47,20 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 import hashlib
+import operator
 from collections import OrderedDict
 from collections.abc import Iterable, Sequence as SequenceABC
 from functools import partial
 
-from repro.devices.mr import MicroringResonator
 from repro.nn.backend import resolve_precision
 from repro.nn.layers import BatchNorm, Conv2D, Dropout, Flatten, ReLU, Sigmoid, Tanh
 from repro.nn.model import Sequential
-from repro.nn.quantization import (
-    capture_parameters,
-    quantize_array,
-    quantize_array_stack,
-    swapped_parameters,
-)
+from repro.nn.quantization import capture_parameters, quantize_array_stack
 from repro.sim.noise import (
     NoiseStack,
     QuantizationChannel,
@@ -68,7 +60,7 @@ from repro.sim.noise import (
     default_noise_stack,
 )
 from repro.sim.sweep import plan_chunks, run_sweep
-from repro.utils.validation import check_non_negative, check_positive_int
+from repro.utils.validation import check_positive_int
 
 
 @dataclass(frozen=True)
@@ -94,175 +86,41 @@ class PhotonicInferenceResult:
         return self.ideal_accuracy - self.accuracy
 
 
-class PhotonicInferenceEngine:
-    """Execute a trained model through a stack of photonic noise channels.
+def _stack_resolution_bits(stack: NoiseStack) -> int:
+    """Weight resolution of ``stack``; 0 means unquantized (float) weights."""
+    for channel in stack:
+        if isinstance(channel, QuantizationChannel) and channel.bits is not None:
+            return channel.bits
+    return 0
 
-    The engine owns a seeded random generator, threads it through the noise
-    stack when perturbing each layer's weights, and (optionally) quantizes
-    the activations flowing between layers to the modulator/ADC resolution.
 
-    Parameters
-    ----------
-    resolution_bits:
-        Legacy shorthand: weight/activation resolution of the accelerator
-        (16 for CrossLight, 4 for DEAP-CNN, ...).  Ignored when
-        ``noise_stack`` is given (pass a
-        :class:`~repro.sim.noise.QuantizationChannel` instead).
-    residual_drift_nm:
-        Legacy shorthand: uniform uncompensated MR resonance drift.  Ignored
-        when ``noise_stack`` is given (pass a
-        :class:`~repro.sim.noise.ResidualDriftChannel` instead).
-    mr:
-        Ring model used by the legacy drift shorthand.
-    seed:
-        Seed of the engine's random generator (drift error signs, FPV
-        draws); a fixed seed replays an identical trial.
-    noise_stack:
-        Explicit :class:`~repro.sim.noise.NoiseStack` (or iterable of
-        channels) replacing the legacy two-parameter noise model.  Prefer
-        :meth:`from_stack` for new code.
-    activation_bits:
-        Resolution of inter-layer activations; ``None`` keeps activations in
-        float.  Defaults to ``resolution_bits`` for legacy construction and
-        to ``None`` for stack construction.
+def _stack_residual_drift(stack: NoiseStack) -> float:
+    """Total uniform residual drift of ``stack``'s drift channels."""
+    return sum(
+        channel.residual_drift_nm
+        for channel in stack
+        if isinstance(channel, ResidualDriftChannel)
+    )
 
-    Notes
-    -----
-    Reaching into the legacy internals (``engine.resolution_bits`` /
-    ``engine.residual_drift_nm`` / ``engine.mr``) is deprecated in favour of
-    inspecting ``engine.noise_stack``; the attributes remain (derived from
-    the stack, no warning) so existing call sites keep working.
+
+def _seed_tuple(seeds, *, generators: bool) -> tuple:
+    """Per-member seeds: ``0..n-1`` for a count ``n``, else the given members.
+
+    Integer seeds pass through :func:`operator.index`, so a float raises
+    ``TypeError`` rather than truncating; with ``generators`` an
+    ``np.random.Generator`` member is kept as is.
     """
-
-    def __init__(
-        self,
-        resolution_bits: int = 16,
-        residual_drift_nm: float = 0.0,
-        mr: MicroringResonator | None = None,
-        seed: int = 0,
-        *,
-        noise_stack: NoiseStack | None = None,
-        activation_bits: int | None = None,
-    ) -> None:
-        if noise_stack is None:
-            check_positive_int("resolution_bits", resolution_bits)
-            check_non_negative("residual_drift_nm", residual_drift_nm)
-            mr = mr or MicroringResonator.optimized()
-            noise_stack = default_noise_stack(resolution_bits, residual_drift_nm, mr)
-            if activation_bits is None:
-                activation_bits = resolution_bits
-        elif not isinstance(noise_stack, NoiseStack):
-            noise_stack = NoiseStack(tuple(noise_stack))
-        if activation_bits is not None:
-            check_positive_int("activation_bits", activation_bits)
-        self.noise_stack = noise_stack
-        self.activation_bits = activation_bits
-        self.mr = mr if mr is not None else self._stack_mr(noise_stack)
-        self.resolution_bits = self._stack_resolution_bits(noise_stack, activation_bits)
-        self.residual_drift_nm = self._stack_residual_drift(noise_stack)
-        self._rng = np.random.default_rng(seed)
-
-    @classmethod
-    def from_stack(
-        cls,
-        noise_stack: NoiseStack,
-        activation_bits: int | None = None,
-        seed: int = 0,
-    ) -> "PhotonicInferenceEngine":
-        """Engine over an explicit noise stack (the extension point)."""
-        return cls(noise_stack=noise_stack, activation_bits=activation_bits, seed=seed)
-
-    # -- legacy attribute derivation ----------------------------------- #
-    @staticmethod
-    def _stack_mr(stack: NoiseStack) -> MicroringResonator:
-        for channel in stack:
-            if isinstance(channel, ResidualDriftChannel):
-                return channel.mr
-        return MicroringResonator.optimized()
-
-    @staticmethod
-    def _stack_resolution_bits(stack: NoiseStack, activation_bits: int | None) -> int:
-        for channel in stack:
-            if isinstance(channel, QuantizationChannel) and channel.bits is not None:
-                return channel.bits
-        # No weight quantization in the stack: 0 is the documented
-        # "unquantized / float weights" sentinel (activation resolution is
-        # tracked separately and does not quantize the imprinted weights).
-        return 0
-
-    @staticmethod
-    def _stack_residual_drift(stack: NoiseStack) -> float:
-        return sum(
-            channel.residual_drift_nm
-            for channel in stack
-            if isinstance(channel, ResidualDriftChannel)
-        )
-
-    # ------------------------------------------------------------------ #
-    # Weight perturbation
-    # ------------------------------------------------------------------ #
-    def perturbed_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Run ``weights`` through the noise stack (consumes engine RNG).
-
-        For the default stack: magnitudes are normalised to the tensor's
-        dynamic range (as a DAC would program them), quantized, and each
-        element receives an error whose magnitude follows the Lorentzian
-        sensitivity of its ring at the configured residual drift and whose
-        sign is random per ring.
-        """
-        return self.noise_stack.apply(weights, self._rng)
-
-    # ------------------------------------------------------------------ #
-    # Model execution
-    # ------------------------------------------------------------------ #
-    def _quantize_activation(self, values: np.ndarray) -> np.ndarray:
-        if self.activation_bits is None:
-            return values
-        return quantize_array(values, self.activation_bits)
-
-    def predict(self, model: Sequential, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
-        """Forward pass with perturbed weights and quantized activations."""
-        with swapped_parameters(model, self.perturbed_weights, param_names=("weight",)):
-            model.eval()
-            outputs = []
-            for start in range(0, inputs.shape[0], batch_size):
-                out = self._quantize_activation(inputs[start : start + batch_size])
-                for layer in model.layers:
-                    out = layer.forward(out)
-                    out = self._quantize_activation(out)
-                outputs.append(out)
-            return np.concatenate(outputs, axis=0)
-
-    def evaluate(
-        self,
-        model: Sequential,
-        inputs: np.ndarray,
-        labels: np.ndarray,
-        batch_size: int = 64,
-        ideal_accuracy: float | None = None,
-    ) -> PhotonicInferenceResult:
-        """Accuracy of ``model`` on a labelled dataset under this engine.
-
-        The drift-independent ideal (float, noiseless) accuracy is computed
-        at most once per ``(model, inputs, labels, batch_size)`` combination
-        and reused from a module-level cache on subsequent calls -- during a
-        drift sweep every point shares the same baseline.  Pass
-        ``ideal_accuracy`` to supply a precomputed baseline and bypass the
-        cache entirely.
-        """
-        logits = self.predict(model, inputs, batch_size=batch_size)
-        predictions = np.argmax(logits, axis=1)
-        accuracy = float(np.mean(predictions == np.asarray(labels, dtype=int)))
-        if ideal_accuracy is None:
-            ideal_accuracy = ideal_model_accuracy(model, inputs, labels, batch_size=batch_size)
-        return PhotonicInferenceResult(
-            model=model.name,
-            resolution_bits=self.resolution_bits,
-            residual_drift_nm=self.residual_drift_nm,
-            accuracy=accuracy,
-            ideal_accuracy=float(ideal_accuracy),
-            noise=self.noise_stack.describe(),
-        )
+    if isinstance(seeds, (int, np.integer)):
+        return tuple(range(check_positive_int("seeds", operator.index(seeds))))
+    seed_list = tuple(
+        seed
+        if generators and isinstance(seed, np.random.Generator)
+        else operator.index(seed)
+        for seed in seeds
+    )
+    if not seed_list:
+        raise ValueError("seeds must not be empty")
+    return seed_list
 
 
 # ---------------------------------------------------------------------- #
@@ -286,7 +144,7 @@ class EnsembleInferenceEngine:
 
     Monte-Carlo noise studies and drift sweeps all reduce to running *many
     perturbed copies of the same model* over *the same dataset*.  Doing that
-    one :class:`PhotonicInferenceEngine` at a time pays E full forward passes
+    one realisation at a time pays E full forward passes
     and recomputes identical im2col patch matrices E times; this engine
     instead stacks the E weight realisations along a leading ensemble axis
     and evaluates them together:
@@ -308,8 +166,10 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
       gathers), each per-member call being the exact scalar forward.
 
     At ``precision="float64"`` (the default) every member's logits and
-    accuracy are elementwise identical to a sequential per-seed
-    :class:`PhotonicInferenceEngine` evaluation; ``precision="float32"`` is
+    accuracy are elementwise identical to running that member alone: its
+    weights swapped for its stack's perturbation under its own generator,
+    then one layer ``forward`` at a time with the input and every layer's
+    output quantized to its activation resolution; ``precision="float32"`` is
     an opt-in compute mode that halves peak memory at a small numerical
     tolerance.  ``member_chunk`` bounds how many members are resident at
     once (peak activation memory scales with ``member_chunk * batch_size``).
@@ -322,7 +182,10 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         ``NoiseStack`` objects (e.g. one per drift point of a sweep).
     seeds:
         Per-member generator seeds: an int E (seeds ``0..E-1``) or an
-        explicit sequence.  With per-member stacks the length must match;
+        explicit sequence of integers and ``np.random.Generator`` objects.
+        An integer member replays its stream on every :meth:`predict`; a
+        Generator member continues its stream, so successive calls draw
+        fresh realisations.  With per-member stacks the length must match;
         repeating one seed across members replays the same random draws
         against each stack (the drift-sweep convention).
     activation_bits:
@@ -348,13 +211,7 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         member_chunk: int | None = None,
     ) -> None:
         shared_stack, member_stacks = self._normalise_stacks(noise_stacks)
-        if isinstance(seeds, (int, np.integer)):
-            check_positive_int("seeds", int(seeds))
-            seed_list = tuple(range(int(seeds)))
-        else:
-            seed_list = tuple(int(seed) for seed in seeds)
-        if not seed_list:
-            raise ValueError("seeds must not be empty")
+        seed_list = _seed_tuple(seeds, generators=True)
         if member_stacks is not None and len(member_stacks) != len(seed_list):
             raise ValueError(
                 f"got {len(member_stacks)} noise stacks for {len(seed_list)} seeds"
@@ -428,11 +285,11 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     def perturbed_weight_stacks(self, model: Sequential) -> dict[int, np.ndarray]:
         """Per-layer ``(E, *weight.shape)`` stacks of perturbed weights.
 
-        Layers are perturbed in model order and member ``e`` consumes a
-        fresh ``default_rng(seeds[e])`` stream exactly as a sequential
-        engine constructed with that seed would, so the stacks are
-        elementwise identical to E independent
-        :meth:`PhotonicInferenceEngine.perturbed_weights` sweeps.
+        Layers are perturbed in model order and member ``e`` consumes the
+        ``default_rng(seeds[e])`` stream (a fresh one for an integer seed,
+        the Generator itself otherwise), so the stacks are elementwise
+        identical to E independent sweeps of
+        :meth:`~repro.sim.noise.NoiseStack.apply` over the model's weights.
         """
         rngs = [np.random.default_rng(seed) for seed in self.seeds]
         base = capture_parameters(model, param_names=("weight",))
@@ -623,9 +480,8 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     ) -> np.ndarray:
         """Logits of every ensemble member: shape ``(E, N, n_classes)``.
 
-        Member ``e`` matches
-        ``PhotonicInferenceEngine.from_stack(stack_e, activation_bits_e,
-        seed_e).predict(model, inputs, batch_size)`` elementwise at float64.
+        Member ``e`` matches a sequential forward pass of that member alone
+        (see the class docstring) elementwise at float64.
         """
         check_positive_int("batch_size", batch_size)
         layer_stacks = self.perturbed_weight_stacks(model)
@@ -656,9 +512,8 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     ) -> tuple[PhotonicInferenceResult, ...]:
         """Per-member accuracies on a labelled dataset, in member order.
 
-        Returns one :class:`PhotonicInferenceResult` per member (the same
-        record a sequential engine produces for that member's stack), all
-        sharing one cached ideal-accuracy baseline.
+        Returns one :class:`PhotonicInferenceResult` per member, summarising
+        that member's stack, all sharing one cached ideal-accuracy baseline.
         """
         logits = self.predict(model, inputs, batch_size=batch_size)
         predictions = np.argmax(logits, axis=2)
@@ -671,10 +526,8 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
             records.append(
                 PhotonicInferenceResult(
                     model=model.name,
-                    resolution_bits=PhotonicInferenceEngine._stack_resolution_bits(
-                        stack, self.activation_bits[member]
-                    ),
-                    residual_drift_nm=PhotonicInferenceEngine._stack_residual_drift(stack),
+                    resolution_bits=_stack_resolution_bits(stack),
+                    residual_drift_nm=_stack_residual_drift(stack),
                     accuracy=float(accuracies[member]),
                     ideal_accuracy=float(ideal_accuracy),
                     noise=stack.describe(),
@@ -843,7 +696,7 @@ def accuracy_vs_residual_drift(
     :class:`EnsembleInferenceEngine`, so the dataset's im2col patch matrices
     and the shared prefix of every forward pass are computed once per batch
     rather than once per drift point; per-point records are elementwise
-    identical to the historical per-point engines.  The drift-independent
+    identical to evaluating each drift point alone.  The drift-independent
     ideal accuracy is likewise computed once and shared across all points.
     """
     ideal = ideal_model_accuracy(model, inputs, labels, batch_size=64)
@@ -853,7 +706,7 @@ def accuracy_vs_residual_drift(
         inputs,
         labels,
         stacks,
-        seeds=[int(seed)] * len(stacks),
+        seeds=[seed] * len(stacks),
         activation_bits=resolution_bits,
         batch_size=64,
         precision=precision,
@@ -939,16 +792,16 @@ def monte_carlo_accuracy(
 ) -> MonteCarloAccuracy:
     """Accuracy distribution of a noise stack over seeded Monte-Carlo trials.
 
-    Each seed drives one independent trial: the engine's generator is seeded
+    Each seed drives one independent trial: the member's generator is seeded
     with it, so stochastic channels (FPV wafer draws, drift error signs)
     sample a fresh but reproducible realisation, while deterministic
     channels (quantization, crosstalk mixing) repeat exactly.
 
     All trials evaluate together through :class:`EnsembleInferenceEngine`
     -- one fused forward pass per input batch with the weight realisations
-    stacked along the ensemble axis -- instead of one engine per seed; at
-    float64 the per-seed records are elementwise identical to the historical
-    per-seed loop.  ``n_workers > 1`` splits the seed list into contiguous
+    stacked along the ensemble axis -- instead of one pass per seed; at
+    float64 the per-seed records are elementwise identical to evaluating
+    each seed alone.  ``n_workers > 1`` splits the seed list into contiguous
     chunks and spreads the chunks (each itself ensemble-vectorized) over a
     process pool; the pool remains the right tool for fanning out across
     *datasets or models*, while within one dataset the ensemble axis does
@@ -973,7 +826,7 @@ def monte_carlo_accuracy(
         keep everything in-process on the ensemble path).
     ideal_accuracy:
         Precomputed noiseless baseline shared across the trials (mirrors
-        :meth:`PhotonicInferenceEngine.evaluate`); computed once via
+        :meth:`EnsembleInferenceEngine.evaluate`); computed once via
         :func:`ideal_model_accuracy` when omitted.
     member_chunk:
         Maximum seeds evaluated simultaneously per process (bounds peak
@@ -993,13 +846,7 @@ def monte_carlo_accuracy(
             raise TypeError(f"n_workers must be an int or None, got {n_workers!r}")
         if n_workers < 0:
             raise ValueError(f"n_workers must be >= 0, got {n_workers}")
-    if isinstance(seeds, (int, np.integer)):
-        check_positive_int("seeds", int(seeds))
-        seed_list = tuple(range(int(seeds)))
-    else:
-        seed_list = tuple(int(seed) for seed in seeds)
-        if not seed_list:
-            raise ValueError("seeds must not be empty")
+    seed_list = _seed_tuple(seeds, generators=False)
     policy = resolve_precision(precision)
     ideal = (
         float(ideal_accuracy)

@@ -31,13 +31,11 @@ def check_non_negative(name: str, value: float) -> float:
 
 def check_positive_int(name: str, value: Any) -> int:
     """Ensure ``value`` is an integer strictly greater than zero."""
-    if isinstance(value, bool) or not isinstance(value, (int,)):
-        # Reject floats even when integral so configuration typos such as
-        # ``n_units=100.0`` are caught rather than silently truncated.
-        if isinstance(value, float) and value.is_integer():
-            raise TypeError(f"{name} must be an int, got float {value!r}")
-        if not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    # Reject floats even when integral so configuration typos such as
+    # ``n_units=100.0`` are caught rather than silently truncated; a bool is
+    # an int subclass but never a count.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
     if value <= 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
     return int(value)

@@ -4,8 +4,8 @@ The contract under test: evaluating E perturbed realisations of a model
 through the fused ensemble path -- stacked weight perturbation
 (``apply_many``/``apply_stacked``), stacked layer forwards, chunking over
 members and batches -- is **elementwise identical** at float64 to running E
-sequential :class:`repro.sim.photonic_inference.PhotonicInferenceEngine`
-evaluations, for every built-in noise channel and for composed stacks.
+independent layer-by-layer forward passes (``sequential_logits``), for every
+built-in noise channel and for composed stacks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from noise_channel_cases import CHANNELS as NAMED_CHANNELS
-from noise_channel_cases import JitterChannel
+from noise_channel_cases import JitterChannel, sequential_logits
 
 from repro.nn.layers import AvgPool2D, BatchNorm, Conv2D, Dense, Dropout, Flatten, ReLU
 from repro.nn.model import Sequential
@@ -25,7 +25,6 @@ from repro.sim import (
     FPVDriftChannel,
     InterChannelCrosstalkChannel,
     NoiseStack,
-    PhotonicInferenceEngine,
     QuantizationChannel,
     ThermalCrosstalkChannel,
     default_noise_stack,
@@ -200,12 +199,15 @@ class TestQuantizeArrayStack:
 def _sequential_logits(model, inputs, stack, seeds, activation_bits, batch_size=64):
     return np.stack(
         [
-            PhotonicInferenceEngine.from_stack(
-                stack, activation_bits=activation_bits, seed=seed
-            ).predict(model, inputs, batch_size=batch_size)
+            sequential_logits(model, inputs, stack, seed, activation_bits, batch_size)
             for seed in seeds
         ]
     )
+
+
+def _sequential_accuracy(model, inputs, labels, stack, seed, activation_bits):
+    logits = sequential_logits(model, inputs, stack, seed, activation_bits)
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 @pytest.fixture(scope="module")
@@ -228,12 +230,10 @@ class TestEnsembleEngineIdentity:
             model, test_x, test_y, fpv_stack, seeds=6, activation_bits=8
         )
         for seed, record in zip(result.seeds, result.records):
-            engine = PhotonicInferenceEngine.from_stack(
-                fpv_stack, activation_bits=8, seed=seed
+            assert record.accuracy == _sequential_accuracy(
+                model, test_x, test_y, fpv_stack, seed, 8
             )
-            reference = engine.evaluate(model, test_x, test_y)
-            assert record.accuracy == reference.accuracy
-            assert record.noise == reference.noise
+            assert record.noise == fpv_stack.describe()
 
     def test_drift_sweep_matches_per_point_engines(self, trained_compact_lenet):
         from repro.sim import accuracy_vs_residual_drift
@@ -244,12 +244,10 @@ class TestEnsembleEngineIdentity:
             model, test_x, test_y, drifts, resolution_bits=8, seed=3
         )
         for drift, record in zip(drifts, records):
-            engine = PhotonicInferenceEngine.from_stack(
-                default_noise_stack(8, drift), activation_bits=8, seed=3
+            assert record.accuracy == _sequential_accuracy(
+                model, test_x, test_y, default_noise_stack(8, drift), 3, 8
             )
-            reference = engine.evaluate(model, test_x, test_y)
-            assert record.accuracy == reference.accuracy
-            assert record.residual_drift_nm == reference.residual_drift_nm
+            assert record.residual_drift_nm == drift
 
     def test_heterogeneous_activation_bits_match_sequential(self, trained_compact_lenet):
         """The fig5 shape: one member per resolution, per-member activations."""
@@ -264,10 +262,9 @@ class TestEnsembleEngineIdentity:
             activation_bits=list(bits_sweep),
         )
         for bits, record in zip(bits_sweep, records):
-            engine = PhotonicInferenceEngine.from_stack(
-                NoiseStack([QuantizationChannel(bits=bits)]), activation_bits=bits, seed=0
+            assert record.accuracy == _sequential_accuracy(
+                model, test_x, test_y, NoiseStack([QuantizationChannel(bits=bits)]), 0, bits
             )
-            assert record.accuracy == engine.evaluate(model, test_x, test_y).accuracy
             assert record.resolution_bits == bits
 
     def test_covers_all_layer_kinds(self, rng):
@@ -294,6 +291,56 @@ class TestEnsembleEngineIdentity:
         fused = engine.predict(model, inputs, batch_size=4)
         reference = _sequential_logits(model, inputs, stack, seeds, 6, batch_size=4)
         np.testing.assert_array_equal(fused, reference)
+
+
+class TestGeneratorSeeds:
+    """``seeds`` members are integers (replayed) or Generators (continued)."""
+
+    def test_int_member_replays_its_stream(self, trained_compact_lenet, fpv_stack):
+        model, test_x, _ = trained_compact_lenet
+        engine = EnsembleInferenceEngine(fpv_stack, [7], activation_bits=8)
+        np.testing.assert_array_equal(
+            engine.predict(model, test_x[:16]), engine.predict(model, test_x[:16])
+        )
+
+    def test_generator_member_continues_its_stream(self, trained_compact_lenet, fpv_stack):
+        model, test_x, _ = trained_compact_lenet
+        engine = EnsembleInferenceEngine(
+            fpv_stack, [np.random.default_rng(7)], activation_bits=8
+        )
+        first = engine.predict(model, test_x[:16])
+        second = engine.predict(model, test_x[:16])
+        reference_rng = np.random.default_rng(7)
+        np.testing.assert_array_equal(
+            first[0], sequential_logits(model, test_x[:16], fpv_stack, reference_rng, 8)
+        )
+        np.testing.assert_array_equal(
+            second[0], sequential_logits(model, test_x[:16], fpv_stack, reference_rng, 8)
+        )
+        assert not np.array_equal(first, second)
+
+    def test_mixed_int_and_generator_seeds(self, trained_compact_lenet, fpv_stack):
+        model, test_x, _ = trained_compact_lenet
+        engine = EnsembleInferenceEngine(
+            fpv_stack, [3, np.random.default_rng(4), np.int64(5)], activation_bits=8
+        )
+        assert engine.seeds[0] == 3 and engine.seeds[2] == 5
+        reference = _sequential_logits(model, test_x[:16], fpv_stack, [3, 4, 5], 8)
+        np.testing.assert_array_equal(engine.predict(model, test_x[:16]), reference)
+
+    def test_float_seeds_raise(self, trained_compact_lenet, fpv_stack):
+        model, test_x, test_y = trained_compact_lenet
+        with pytest.raises(TypeError):
+            EnsembleInferenceEngine(fpv_stack, seeds=[1.7])
+        with pytest.raises(TypeError):
+            EnsembleInferenceEngine(fpv_stack, seeds=2.0)
+        with pytest.raises(TypeError):
+            monte_carlo_accuracy(model, test_x, test_y, fpv_stack, seeds=[1.7])
+        with pytest.raises(TypeError):
+            monte_carlo_accuracy(
+                model, test_x, test_y, fpv_stack, seeds=[np.random.default_rng(0)]
+            )
+        assert EnsembleInferenceEngine(fpv_stack, seeds=np.int64(3)).seeds == (0, 1, 2)
 
 
 class TestChunkingAndDtype:

@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.devices import MicroringResonator
 from repro.devices.mr_bank import MRBank
-from repro.sim.photonic_inference import PhotonicInferenceEngine
+from repro.sim.noise import default_noise_stack
 
 weight_arrays = hnp.arrays(
     dtype=np.float64,
@@ -163,16 +163,11 @@ class TestEngineEquivalence:
     def test_perturbed_weights_matches_seed_per_element_loop(self, weights, drift):
         from repro.nn.quantization import quantize_array
 
-        vec_engine = PhotonicInferenceEngine(
-            resolution_bits=8, residual_drift_nm=drift, seed=7
-        )
-        ref_engine = PhotonicInferenceEngine(
-            resolution_bits=8, residual_drift_nm=drift, seed=7
-        )
-        vectorized = vec_engine.perturbed_weights(weights)
+        vectorized = default_noise_stack(8, drift).apply(weights, np.random.default_rng(7))
 
         # The seed implementation, element by element.
-        quantized = quantize_array(weights, ref_engine.resolution_bits)
+        mr = MicroringResonator.optimized()
+        quantized = quantize_array(weights, 8)
         max_abs = float(np.max(np.abs(quantized)))
         if max_abs == 0.0:
             np.testing.assert_array_equal(vectorized, quantized)
@@ -180,12 +175,10 @@ class TestEngineEquivalence:
         normalised = np.abs(quantized) / max_abs
         errors = np.array(
             [
-                ref_engine.mr.transmission_error_from_drift(
-                    float(v), ref_engine.residual_drift_nm
-                )
+                mr.transmission_error_from_drift(float(v), drift)
                 for v in normalised.reshape(-1)
             ]
         ).reshape(normalised.shape)
-        signs = ref_engine._rng.choice([-1.0, 1.0], size=errors.shape)
+        signs = np.random.default_rng(7).choice([-1.0, 1.0], size=errors.shape)
         expected = quantized + signs * errors * max_abs
         np.testing.assert_array_equal(vectorized, expected)

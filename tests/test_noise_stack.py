@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.mr import MicroringResonator
+from repro.nn.layers import Dense
+from repro.nn.model import Sequential
 from repro.nn.quantization import quantize_array
 from repro.sim import (
+    EnsembleInferenceEngine,
     FPVDriftChannel,
     InterChannelCrosstalkChannel,
     NoiseChannel,
     NoiseStack,
-    PhotonicInferenceEngine,
     QuantizationChannel,
     ResidualDriftChannel,
     ThermalCrosstalkChannel,
@@ -64,31 +66,35 @@ class TestLegacyEquivalence:
         self, data_seed, bits, drift_nm, sign_seed
     ):
         weights = np.random.default_rng(data_seed).normal(size=(7, 5))
-        engine = PhotonicInferenceEngine(
-            resolution_bits=bits, residual_drift_nm=drift_nm, seed=sign_seed
-        )
+        stack = default_noise_stack(resolution_bits=bits, residual_drift_nm=drift_nm)
         expected = _legacy_perturbed_weights(weights, bits, drift_nm, sign_seed)
-        np.testing.assert_array_equal(engine.perturbed_weights(weights), expected)
+        np.testing.assert_array_equal(
+            stack.apply(weights, np.random.default_rng(sign_seed)), expected
+        )
 
     def test_explicit_default_stack_matches_legacy_constructor(self, rng):
-        weights = rng.normal(size=(16, 9))
-        legacy = PhotonicInferenceEngine(resolution_bits=8, residual_drift_nm=0.7, seed=3)
-        stacked = PhotonicInferenceEngine.from_stack(
-            default_noise_stack(resolution_bits=8, residual_drift_nm=0.7),
-            activation_bits=8,
-            seed=3,
+        """An engine over the default stack perturbs weights as the legacy engine did."""
+        model = Sequential([Dense(16, 9, rng=rng)], input_shape=(16,))
+        engine = EnsembleInferenceEngine(
+            default_noise_stack(resolution_bits=8, residual_drift_nm=0.7), [3]
         )
-        np.testing.assert_array_equal(
-            legacy.perturbed_weights(weights), stacked.perturbed_weights(weights)
-        )
+        expected = _legacy_perturbed_weights(model.layers[0].weight, 8, 0.7, 3)
+        np.testing.assert_array_equal(engine.perturbed_weight_stacks(model)[0][0], expected)
 
-    def test_legacy_attributes_derived_from_stack(self):
-        engine = PhotonicInferenceEngine.from_stack(
-            default_noise_stack(resolution_bits=4, residual_drift_nm=1.5)
+    def test_legacy_attributes_derived_from_stack(self, trained_compact_lenet):
+        """Result records summarise the stack's quantization and drift."""
+        model, test_x, test_y = trained_compact_lenet
+        stacks = [
+            default_noise_stack(resolution_bits=4, residual_drift_nm=1.5),
+            NoiseStack([FPVDriftChannel()]),
+        ]
+        drifted, unquantized = EnsembleInferenceEngine(stacks, [0, 0]).evaluate(
+            model, test_x[:8], test_y[:8]
         )
-        assert engine.resolution_bits == 4
-        assert engine.residual_drift_nm == pytest.approx(1.5)
-        assert isinstance(engine.mr, MicroringResonator)
+        assert drifted.resolution_bits == 4
+        assert drifted.residual_drift_nm == pytest.approx(1.5)
+        assert unquantized.resolution_bits == 0
+        assert unquantized.residual_drift_nm == 0.0
 
 
 class TestChannelNoOps:
@@ -259,7 +265,9 @@ class TestMonteCarloAccuracy:
 
     def test_result_records_noise_description(self, trained_compact_lenet):
         model, test_x, test_y = trained_compact_lenet
-        engine = PhotonicInferenceEngine(resolution_bits=8, residual_drift_nm=0.3)
-        result = engine.evaluate(model, test_x[:32], test_y[:32])
+        engine = EnsembleInferenceEngine(
+            default_noise_stack(resolution_bits=8, residual_drift_nm=0.3), 1, activation_bits=8
+        )
+        (result,) = engine.evaluate(model, test_x[:32], test_y[:32])
         assert "quantization(8 bit)" in result.noise
         assert "residual-drift(0.3 nm)" in result.noise

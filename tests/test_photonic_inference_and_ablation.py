@@ -1,4 +1,4 @@
-"""Tests for the functional photonic-inference engine and the ablation studies."""
+"""Tests for functional photonic inference and the ablation studies."""
 
 from __future__ import annotations
 
@@ -7,23 +7,35 @@ import pytest
 
 from repro.experiments import ablation
 from repro.sim import (
-    PhotonicInferenceEngine,
+    EnsembleInferenceEngine,
     accuracy_vs_residual_drift,
+    default_noise_stack,
 )
 
 
-class TestPhotonicInferenceEngine:
+def _evaluate(model, test_x, test_y, resolution_bits=16, residual_drift_nm=0.0):
+    engine = EnsembleInferenceEngine(
+        default_noise_stack(resolution_bits, residual_drift_nm), 1, activation_bits=resolution_bits
+    )
+    return engine.evaluate(model, test_x, test_y)[0]
+
+
+def _perturbed(weights, resolution_bits=16, residual_drift_nm=0.0):
+    stack = default_noise_stack(resolution_bits, residual_drift_nm)
+    return stack.apply(weights, np.random.default_rng(0))
+
+
+class TestPhotonicInference:
     def test_zero_drift_high_resolution_matches_float_inference(self, trained_compact_lenet):
         model, test_x, test_y = trained_compact_lenet
-        engine = PhotonicInferenceEngine(resolution_bits=16, residual_drift_nm=0.0)
-        result = engine.evaluate(model, test_x, test_y)
+        result = _evaluate(model, test_x, test_y, resolution_bits=16)
         assert result.accuracy == pytest.approx(result.ideal_accuracy, abs=0.05)
         assert result.accuracy_loss <= 0.05
 
     def test_weights_restored_after_prediction(self, trained_compact_lenet):
         model, test_x, _ = trained_compact_lenet
         before = [p.copy() for layer in model.layers for p in layer.parameters().values()]
-        engine = PhotonicInferenceEngine(resolution_bits=4, residual_drift_nm=0.5)
+        engine = EnsembleInferenceEngine(default_noise_stack(4, 0.5), 1, activation_bits=4)
         engine.predict(model, test_x[:8])
         after = [p for layer in model.layers for p in layer.parameters().values()]
         for original, restored in zip(before, after):
@@ -31,31 +43,28 @@ class TestPhotonicInferenceEngine:
 
     def test_large_drift_degrades_accuracy(self, trained_compact_lenet):
         model, test_x, test_y = trained_compact_lenet
-        clean = PhotonicInferenceEngine(residual_drift_nm=0.0).evaluate(model, test_x, test_y)
-        drifted = PhotonicInferenceEngine(residual_drift_nm=2.1).evaluate(model, test_x, test_y)
+        clean = _evaluate(model, test_x, test_y, residual_drift_nm=0.0)
+        drifted = _evaluate(model, test_x, test_y, residual_drift_nm=2.1)
         assert drifted.accuracy <= clean.accuracy
 
     def test_perturbed_weights_quantized_without_drift(self, rng):
-        engine = PhotonicInferenceEngine(resolution_bits=3, residual_drift_nm=0.0)
-        weights = rng.normal(size=(6, 6))
-        perturbed = engine.perturbed_weights(weights)
+        perturbed = _perturbed(rng.normal(size=(6, 6)), resolution_bits=3)
         assert len(np.unique(np.round(perturbed, 9))) <= 8
 
     def test_perturbed_weights_change_with_drift(self, rng):
         weights = rng.normal(size=(5, 5))
-        clean = PhotonicInferenceEngine(residual_drift_nm=0.0).perturbed_weights(weights)
-        drifted = PhotonicInferenceEngine(residual_drift_nm=1.0).perturbed_weights(weights)
+        clean = _perturbed(weights, residual_drift_nm=0.0)
+        drifted = _perturbed(weights, residual_drift_nm=1.0)
         assert not np.allclose(clean, drifted)
 
     def test_zero_weights_unchanged(self):
-        engine = PhotonicInferenceEngine(residual_drift_nm=1.0)
-        np.testing.assert_allclose(engine.perturbed_weights(np.zeros((3, 3))), 0.0)
+        np.testing.assert_allclose(_perturbed(np.zeros((3, 3)), residual_drift_nm=1.0), 0.0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises((TypeError, ValueError)):
-            PhotonicInferenceEngine(resolution_bits=0)
+            default_noise_stack(resolution_bits=0)
         with pytest.raises(ValueError):
-            PhotonicInferenceEngine(residual_drift_nm=-1.0)
+            default_noise_stack(residual_drift_nm=-1.0)
 
     def test_drift_sweep_returns_one_result_per_point(self, trained_compact_lenet):
         model, test_x, test_y = trained_compact_lenet

@@ -89,6 +89,8 @@ class TestValidation:
         assert check_positive_int("n", 3) == 3
         with pytest.raises(TypeError):
             check_positive_int("n", 3.0)
+        with pytest.raises(TypeError):
+            check_positive_int("n", True)
         with pytest.raises(ValueError):
             check_positive_int("n", 0)
 
