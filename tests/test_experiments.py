@@ -6,6 +6,8 @@ reduced scale here; the benchmark harness runs them at full scale.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.experiments import (
     table2_devices,
     table3_summary,
 )
+from repro.study import run_experiment
 
 
 class TestTable1:
@@ -102,6 +105,13 @@ class TestFig5:
         )
         assert len(curve.accuracy) == 2
         assert all(0.0 <= a <= 1.0 for a in curve.accuracy)
+
+    def test_siamese_curve_golden(self):
+        # The model-4 curve at the default float64 settings, pinned as floats:
+        # the untrained trunk's quantized embeddings scored against the
+        # full-precision median distance threshold.
+        curve = fig5_resolution_accuracy.run_for_model(4)
+        assert curve.accuracy == (0.505, 0.495, 0.495, 0.785, 0.9, 0.9, 0.895)
 
 
 class TestFig6:
@@ -209,6 +219,14 @@ class TestDeviceDSEAndResolution:
         assert result.deap_cnn.resolution_bits == 4
         assert result.holylight.resolution_bits == 2
         assert result.max_bank_size_for_16_bits >= 15
+
+    def test_resolution_accuracy_study_golden(self):
+        # The opt-in bank-size accuracy study trains a compact LeNet-5; no
+        # perfbench digest covers it.
+        text = run_experiment("resolution_analysis", include_accuracy=True).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8e105a1472e71175b364e8d363e33f98ce357578bdf8ce42aa67c4b44a778225"
+        )
 
     def test_mains_render(self):
         assert "IV.A" in device_dse.main()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,18 @@ class TestQuantizationAwareFinetune:
                 assert np.all(np.isfinite(param))
         # QAT should not catastrophically hurt the quantized accuracy.
         assert after >= before - 0.15
+
+    def test_qat_parameters_golden(self):
+        # Every parameter (biases included) after one QAT epoch on a short
+        # compact-LeNet fit, pinned bit for bit.
+        train_x, train_y, _, _ = sign_mnist_synthetic(n_train=120, n_test=60)
+        model = build_model(1, compact=True)
+        model.fit(train_x, train_y, epochs=2, batch_size=32, seed=0)
+        quantization_aware_finetune(model, train_x, train_y, bits=4, epochs=1)
+        digest = hashlib.sha256()
+        for layer in model.layers:
+            for _, param in sorted(layer.parameters().items()):
+                digest.update(np.ascontiguousarray(param).tobytes())
+        assert digest.hexdigest() == (
+            "2c0e520dbddbbdbe7cbe613a33d12b5e97fb8c728fbc5f73ace6b0f7d27177a6"
+        )

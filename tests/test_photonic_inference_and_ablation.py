@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.sim import (
     accuracy_vs_residual_drift,
     default_noise_stack,
 )
+from repro.study import run_experiment
 
 
 def _evaluate(model, test_x, test_y, resolution_bits=16, residual_drift_nm=0.0):
@@ -123,3 +126,11 @@ class TestAblationStudies:
         assert "Ablation 5" in rendered
         assert "TED/hybrid tuning" in rendered
         assert "Accuracy recovered" in rendered
+
+    def test_fpv_monte_carlo_study_golden(self):
+        # The opt-in FPV Monte-Carlo ablation at its default scale (it trains
+        # the compact LeNet-5 twice); no perfbench digest covers it.
+        text = run_experiment("ablation", include_fpv_monte_carlo=True).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "58600d54dd2629fa22a459011245ada84209f0af310dc0b32e83e48a69e76e41"
+        )
