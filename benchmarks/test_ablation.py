@@ -14,7 +14,6 @@ def test_ablation_studies(benchmark):
     result = benchmark.pedantic(
         ablation.run, kwargs={"include_drift_accuracy": True}, rounds=1, iterations=1
     )
-    print("\n" + ablation.main())
 
     # Wavelength reuse reduces laser power for FC-sized units.
     assert result.wavelength_reuse.saving_ratio > 1.5

@@ -7,7 +7,6 @@ from repro.experiments import device_dse
 
 def test_device_design_space_exploration(benchmark):
     result = benchmark(device_dse.run)
-    print("\n" + device_dse.main())
 
     # The exploration selects the paper's 400 nm / 800 nm design point.
     assert result.best.input_waveguide_width_nm == 400.0

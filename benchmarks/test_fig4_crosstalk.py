@@ -9,7 +9,6 @@ from repro.experiments import fig4_thermal
 
 def test_fig4_crosstalk_and_tuning_power(benchmark):
     result = benchmark(fig4_thermal.run)
-    print("\n" + fig4_thermal.main())
 
     # Orange curve: phase crosstalk ratio decays monotonically with distance.
     assert np.all(np.diff(result.crosstalk_ratio) < 0)

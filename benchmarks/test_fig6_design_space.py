@@ -9,7 +9,6 @@ def test_fig6_design_space(benchmark, models):
     result = benchmark.pedantic(
         fig6_design_space.run, kwargs={"models": models}, rounds=1, iterations=1
     )
-    print("\n" + fig6_design_space.main())
 
     paper_point = result.point_for((20, 150, 100, 60))
     feasible = result.feasible_points

@@ -7,7 +7,6 @@ from repro.experiments import fig7_power
 
 def test_fig7_power_comparison(benchmark):
     rows = benchmark(fig7_power.run)
-    print("\n" + fig7_power.main())
 
     power = {row.name: row.power_w for row in rows}
 

@@ -9,7 +9,6 @@ def test_fig8_epb_per_model(benchmark, models):
     result = benchmark.pedantic(
         fig8_epb.run, kwargs={"models": models}, rounds=1, iterations=1
     )
-    print("\n" + fig8_epb.main())
 
     assert len(result.accelerators) == 6
     assert len(result.models) == 4

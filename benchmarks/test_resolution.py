@@ -7,7 +7,6 @@ from repro.experiments import resolution_analysis
 
 def test_resolution_analysis(benchmark):
     result = benchmark(resolution_analysis.run)
-    print("\n" + resolution_analysis.main())
 
     # CrossLight sustains 16 bits at the paper's 15-MRs-per-bank operating
     # point; DEAP-CNN and HolyLight are limited to ~4 and ~2 bits.

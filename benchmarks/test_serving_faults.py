@@ -26,7 +26,6 @@ def test_serving_faults_smoke(benchmark):
         rounds=1,
         iterations=1,
     )
-    print("\n" + serving_faults.main(result=result))
 
     # Fault-free baseline: full availability, goodput == throughput.
     baseline = result.baseline

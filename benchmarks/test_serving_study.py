@@ -19,7 +19,6 @@ def test_serving_study_smoke(benchmark):
         rounds=1,
         iterations=1,
     )
-    print("\n" + serving_study.main(["--requests", "800"], result=result))
 
     # Batching frontier: monotone capacity/latency/energy on every design.
     for name in serving_study.ACCELERATOR_BUILDERS:

@@ -7,7 +7,6 @@ from repro.experiments import table1_models
 
 def test_table1_models(benchmark):
     rows = benchmark(table1_models.run)
-    print("\n" + table1_models.main())
 
     assert [r.index for r in rows] == [1, 2, 3, 4]
     for row in rows:

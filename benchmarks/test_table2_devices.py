@@ -7,7 +7,6 @@ from repro.experiments import table2_devices
 
 def test_table2_devices(benchmark):
     rows = benchmark(table2_devices.run)
-    print("\n" + table2_devices.main())
 
     assert len(rows) == 5
     for row in rows:

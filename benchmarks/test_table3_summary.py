@@ -9,7 +9,6 @@ def test_table3_summary(benchmark, models):
     result = benchmark.pedantic(
         table3_summary.run, kwargs={"models": models}, rounds=1, iterations=1
     )
-    print("\n" + table3_summary.main())
 
     # The reproduced table contains every platform of the paper's Table III.
     names = {row.name for row in result.rows}

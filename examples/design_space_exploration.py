@@ -12,13 +12,14 @@ Run with:  python examples/design_space_exploration.py
 
 from __future__ import annotations
 
-from repro.experiments import fig6_design_space
+from repro.study import run_experiment
 
 
 def main() -> None:
-    print(fig6_design_space.main(max_rows=15))
+    report = run_experiment("fig6", max_rows=15)
+    print(report.to_text())
 
-    result = fig6_design_space.run()
+    result = report.result
     best = result.best
     paper = result.point_for((20, 150, 100, 60))
     print("\nSummary:")

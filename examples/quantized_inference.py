@@ -25,8 +25,8 @@ from repro.crosstalk import (
     deap_cnn_bank_resolution,
     holylight_microdisk_resolution,
 )
-from repro.nn import build_model, evaluate_quantized_accuracy, sign_mnist_synthetic
-from repro.sim import format_table
+from repro.nn import build_model, sign_mnist_synthetic
+from repro.sim import NoiseStack, QuantizationChannel, evaluate_ensemble, format_table
 
 
 def main() -> None:
@@ -40,12 +40,23 @@ def main() -> None:
         f"{history.final_accuracy:.3f}, test accuracy {full_accuracy:.3f}"
     )
 
-    # 2. Accuracy under quantized inference.
+    # 2. Accuracy under quantized inference: one ensemble member per
+    #    resolution, each quantizing its weights and activations to ``bits``.
     print("\nAccuracy vs weight/activation resolution:")
-    rows = []
-    for bits in (1, 2, 4, 8, 16):
-        accuracy = evaluate_quantized_accuracy(model, test_x, test_y, bits)
-        rows.append([f"{bits} bits", accuracy, accuracy - full_accuracy])
+    bits_sweep = (1, 2, 4, 8, 16)
+    records = evaluate_ensemble(
+        model,
+        test_x,
+        test_y,
+        [NoiseStack([QuantizationChannel(bits=bits)]) for bits in bits_sweep],
+        seeds=[0] * len(bits_sweep),
+        activation_bits=list(bits_sweep),
+        batch_size=128,
+    )
+    rows = [
+        [f"{bits} bits", record.accuracy, record.accuracy - full_accuracy]
+        for bits, record in zip(bits_sweep, records)
+    ]
     print(format_table(["Resolution", "Accuracy", "Delta vs float"], rows, "{:.3f}"))
 
     # 3. What resolution can each accelerator's weight bank actually deliver?

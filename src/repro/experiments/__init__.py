@@ -10,9 +10,9 @@ single front door is the ``repro`` CLI (``python -m repro``)::
     repro run fig5 --json       # structured StudyReport
     repro run --all --out out/  # full paper regeneration manifest
 
-Each module still exposes ``run()`` returning structured result objects
-(used by the tests and benchmarks) and a legacy ``main(argv=None) -> str``
-shim returning the text report via the registry path.
+Each module also exposes ``run()`` returning structured result objects
+(used by the tests and benchmarks); the text report of a study is
+``run_experiment(name, ...).to_text()`` from :mod:`repro.study`.
 
 Driver modules are imported lazily: ``from repro.experiments import
 serving_study`` works as before, but ``import repro.experiments`` alone no

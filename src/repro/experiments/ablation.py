@@ -36,8 +36,7 @@ from repro.arch.vdp import VDPUnit
 from repro.crosstalk.resolution import crosslight_bank_resolution
 from repro.devices.constants import EO_TUNING, TO_TUNING
 from repro.nn.backend import resolve_precision
-from repro.nn.datasets import sign_mnist_synthetic
-from repro.nn.zoo import build_model
+from repro.nn.zoo import trained_model
 from repro.sim.noise import FPVDriftChannel, NoiseStack, QuantizationChannel
 from repro.sim.photonic_inference import (
     MonteCarloAccuracy,
@@ -53,7 +52,6 @@ from repro.study import (
     StudyConfig,
     experiment,
     precision_field,
-    run_main,
 )
 
 
@@ -162,18 +160,6 @@ def tuning_latency_ablation(vector_size: int = 20) -> TuningLatencyAblation:
     )
 
 
-def _trained_compact_model(epochs, n_train, n_test, policy):
-    """Train the compact LeNet-5 on Sign-MNIST under a compute policy."""
-    train_x, train_y, test_x, test_y = sign_mnist_synthetic(n_train=n_train, n_test=n_test)
-    model = build_model(1, compact=True)
-    if not policy.exact:
-        model.astype(policy.dtype)
-        train_x = train_x.astype(policy.dtype, copy=False)
-        test_x = test_x.astype(policy.dtype, copy=False)
-    model.fit(train_x, train_y, epochs=epochs, batch_size=32, seed=0)
-    return model, test_x, test_y
-
-
 def drift_accuracy_ablation(
     drifts_nm=(0.0, 0.05, 0.2, 0.5, 1.0, 2.1),
     epochs: int = 6,
@@ -187,7 +173,9 @@ def drift_accuracy_ablation(
     the fused drift sweep.
     """
     policy = resolve_precision(precision)
-    model, test_x, test_y = _trained_compact_model(epochs, n_train, n_test, policy)
+    model, (test_x, test_y) = trained_model(
+        1, n_train=n_train, n_test=n_test, epochs=epochs, seed=0, precision=policy
+    )
     return tuple(
         accuracy_vs_residual_drift(
             model, test_x, test_y, drifts_nm, resolution_bits=16,
@@ -219,7 +207,9 @@ def fpv_monte_carlo_ablation(
     inside worker processes.
     """
     policy = resolve_precision(precision)
-    model, test_x, test_y = _trained_compact_model(epochs, n_train, n_test, policy)
+    model, (test_x, test_y) = trained_model(
+        1, n_train=n_train, n_test=n_test, epochs=epochs, seed=0, precision=policy
+    )
 
     def stack(residual_fraction: float) -> NoiseStack:
         return NoiseStack(
@@ -388,27 +378,3 @@ def _study(config: AblationConfig, ctx: RunContext) -> tuple[AblationResult, str
         precision=config.precision,
     )
     return result, _render(result)
-
-
-def main(
-    argv: list[str] | bool | None = None, include_fpv_monte_carlo: bool | None = None
-) -> str:
-    """Render all ablation studies as text (legacy driver shim).
-
-    The FPV Monte-Carlo study trains a second model and runs two 8-seed
-    Monte-Carlo sweeps, so it is opt-in (``--include-fpv-monte-carlo`` on
-    the command line).  The pre-registry signature
-    ``main(include_fpv_monte_carlo=...)`` keeps working: a bare bool as the
-    first positional argument is treated as ``include_fpv_monte_carlo``.
-    """
-    if isinstance(argv, bool):
-        argv, include_fpv_monte_carlo = None, argv
-    return run_main(
-        "ablation", argv, {"include_fpv_monte_carlo": include_fpv_monte_carlo}
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    import sys
-
-    print(main(include_fpv_monte_carlo="--fpv" in sys.argv[1:]))

@@ -1,8 +1,9 @@
 """Experiment E-F5: reproduce Fig. 5 (inference accuracy vs resolution).
 
 Fig. 5 sweeps the weight/activation resolution of the four evaluation models
-from 1 bit to 16 bits (with quantization-aware training) and plots the
-resulting inference accuracy.  The qualitative behaviour the paper highlights:
+from 1 bit to 16 bits and plots the resulting inference accuracy (the paper
+uses quantization-aware training; this driver sweeps post-training
+quantization).  The qualitative behaviour the paper highlights:
 
 * accuracy is stable at high resolutions (8-16 bits),
 * it degrades as resolution drops, collapsing at 1-2 bits,
@@ -10,22 +11,22 @@ resulting inference accuracy.  The qualitative behaviour the paper highlights:
 
 This driver trains the *compact* zoo models on the synthetic dataset
 stand-ins (the offline substitute for Sign-MNIST/CIFAR-10/STL-10/Omniglot --
-see DESIGN.md), then evaluates each model's whole resolution sweep as **one
-ensemble**: every bit width becomes a member of a single
-:func:`repro.sim.photonic_inference.evaluate_ensemble` call (a
+see DESIGN.md) through :func:`repro.nn.zoo.trained_model`, then evaluates
+each model's whole resolution sweep as **one ensemble**: every bit width
+becomes a member of a single
+:class:`repro.sim.photonic_inference.EnsembleInferenceEngine` (a
 quantization-only :class:`repro.sim.noise.QuantizationChannel` stack for the
 weights, per-member ``activation_bits`` for the activations flowing between
 layers), so the fused forward passes evaluate all resolutions together
-instead of one engine per point.  Because the non-idealities are a pluggable
-stack, richer Fig. 5 variants (e.g. quantization *plus* FPV drift) are one
-channel away -- see ``examples/noise_stack_study.py``.
+instead of one engine per point.  The Siamese model (model 4) runs its trunk
+through the same engine and scores the member embeddings' pair distances.
+Because the non-idealities are a pluggable stack, richer Fig. 5 variants
+(e.g. quantization *plus* FPV drift) are one channel away -- see
+``examples/noise_stack_study.py``.
 
-Note on bias handling: the engine path quantizes only the MR-imprinted
+Note on bias handling: the engine quantizes only the MR-imprinted
 ``weight`` tensors -- biases are applied electronically after the optical
-dot product and stay in float.  The previous wrapper-based driver quantized
-biases too, so low-bit accuracies shift by a few counts relative to the
-pre-stack output (high-resolution points are unchanged); the Siamese model
-still uses :class:`repro.nn.quantization.QuantizedModelWrapper`.
+dot product and stay in float.
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ from functools import partial
 import numpy as np
 
 from repro.nn.backend import resolve_precision
-from repro.nn.datasets import dataset_for_model
 from repro.nn.losses import pair_accuracy
 from repro.nn.model import SiameseModel
-from repro.nn.quantization import QuantizedModelWrapper
-from repro.nn.zoo import build_model, model_spec
+from repro.nn.zoo import model_spec, trained_model
 from repro.sim.noise import NoiseStack, QuantizationChannel
-from repro.sim.photonic_inference import evaluate_ensemble, ideal_model_accuracy
+from repro.sim.photonic_inference import (
+    EnsembleInferenceEngine,
+    evaluate_ensemble,
+    ideal_model_accuracy,
+)
 from repro.sim.results import format_table
 from repro.sim.sweep import SweepExecutor, run_sweep
 from repro.study import (
@@ -50,7 +53,6 @@ from repro.study import (
     StudyConfig,
     experiment,
     precision_field,
-    run_main,
 )
 
 #: Resolution sweep of the paper's Fig. 5.
@@ -109,17 +111,33 @@ def _classification_accuracies(
     return [record.accuracy for record in records]
 
 
-def _siamese_accuracy_at_bits(
-    model: SiameseModel, pairs, bits: int, threshold: float
-) -> float:
-    """Pair-verification accuracy of a Siamese model at a given resolution."""
-    _, _, _, test_a, test_b, test_labels = pairs
-    wrapper = QuantizedModelWrapper(model.trunk, weight_bits=bits, activation_bits=bits)
-    with wrapper:
-        emb_a = wrapper.predict(test_a)
-        emb_b = wrapper.predict(test_b)
-    distances = np.sqrt(np.sum((emb_a - emb_b) ** 2, axis=1) + 1e-12)
-    return pair_accuracy(distances, test_labels, threshold=threshold)
+def _siamese_accuracies(
+    model: SiameseModel, test_split, bits_sweep: tuple[int, ...], precision=None
+) -> list[float]:
+    """Pair-verification accuracy of a Siamese model at every resolution.
+
+    The trunk evaluates as one ensemble (one quantization-only member per
+    bit width) over each side of the test pairs; member ``m``'s embedding
+    distances are scored against the full-precision median distance.  The
+    two sides run as separate ``predict`` calls at batch size 128 because
+    the activation quantizer fits its range to each batch.
+    """
+    test_a, test_b, test_labels = test_split
+    threshold = float(np.median(model.pair_distances(test_a, test_b)))
+    engine = EnsembleInferenceEngine(
+        [NoiseStack([QuantizationChannel(bits=bits)]) for bits in bits_sweep],
+        seeds=[0] * len(bits_sweep),
+        activation_bits=list(bits_sweep),
+        precision=precision,
+    )
+    emb_a = engine.predict(model.trunk, test_a, batch_size=128)
+    emb_b = engine.predict(model.trunk, test_b, batch_size=128)
+    return [
+        pair_accuracy(
+            np.sqrt(np.sum((a - b) ** 2, axis=1) + 1e-12), test_labels, threshold=threshold
+        )
+        for a, b in zip(emb_a, emb_b)
+    ]
 
 
 def run_for_model(
@@ -139,62 +157,25 @@ def run_for_model(
     documented tolerance.
     """
     policy = resolve_precision(precision)
-    spec = model_spec(model_index)
-    model = build_model(model_index, compact=True)
-    data = dataset_for_model(model_index, n_train=n_train, n_test=n_test)
-    if not policy.exact:
-        (model.trunk if model_index == 4 else model).astype(policy.dtype)
-        data = tuple(
-            part.astype(policy.dtype, copy=False)
-            if isinstance(part, np.ndarray) and np.issubdtype(part.dtype, np.floating)
-            else part
-            for part in data
-        )
-
-    if model_index == 4:
-        # Siamese model: train the trunk as a classifier surrogate is not
-        # meaningful; instead train with contrastive-style updates is costly,
-        # so we evaluate the untrained-embedding verification accuracy trend,
-        # which still degrades with quantization.  A short supervised
-        # fine-tune on same/different pairs keeps the curve informative.
-        train_a, train_b, train_labels, *_ = data
-        # Light training: pull same-class embeddings together by training the
-        # trunk to classify which prototype generated each image.
-        accuracies = []
-        # Distance threshold calibrated at full precision.
-        full_precision_distances = model.pair_distances(data[3], data[4])
-        threshold = float(np.median(full_precision_distances))
-        for bits in bits_sweep:
-            accuracies.append(
-                _siamese_accuracy_at_bits(model, data, bits, threshold)
-            )
-        return AccuracyCurve(
-            model_index=model_index,
-            model_name=spec.name,
-            bits=tuple(bits_sweep),
-            accuracy=tuple(accuracies),
-        )
-
-    train_x, train_y, test_x, test_y = data
-    # track_accuracy=False skips the per-epoch full-train-set evaluate;
-    # the optimisation trajectory (and so the final weights) is
-    # bit-identical, only the unused per-epoch accuracy log disappears.
-    model.fit(
-        train_x,
-        train_y,
+    model, test_split = trained_model(
+        model_index,
+        n_train=n_train,
+        n_test=n_test,
         epochs=epochs,
-        batch_size=32,
         seed=model_index,
-        track_accuracy=False,
-    )
-    ideal = ideal_model_accuracy(model, test_x, test_y, batch_size=128)
-    accuracies = _classification_accuracies(
-        model, test_x, test_y, tuple(bits_sweep), ideal,
         precision=policy,
     )
+    if model_index == 4:
+        accuracies = _siamese_accuracies(model, test_split, tuple(bits_sweep), policy)
+    else:
+        test_x, test_y = test_split
+        ideal = ideal_model_accuracy(model, test_x, test_y, batch_size=128)
+        accuracies = _classification_accuracies(
+            model, test_x, test_y, tuple(bits_sweep), ideal, precision=policy
+        )
     return AccuracyCurve(
         model_index=model_index,
-        model_name=spec.name,
+        model_name=model_spec(model_index).name,
         bits=tuple(bits_sweep),
         accuracy=tuple(accuracies),
     )
@@ -292,11 +273,3 @@ def _study(config: Fig5Config, ctx: RunContext) -> tuple[list[AccuracyCurve], st
     )
     return curves, _render(curves)
 
-
-def main(argv: list[str] | None = None) -> str:
-    """Render the Fig. 5 curves as text (legacy driver shim)."""
-    return run_main("fig5", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

@@ -24,7 +24,7 @@ from repro.nn.zoo import build_all_models
 from repro.sim.simulator import simulate_models
 from repro.sim.results import format_table
 from repro.sim.sweep import SweepExecutor, run_sweep
-from repro.study import RunContext, StudyConfig, experiment, run_main
+from repro.study import RunContext, StudyConfig, experiment
 
 #: Area envelope applied when selecting the best configuration (mm^2).
 DEFAULT_AREA_BUDGET_MM2 = 25.0
@@ -222,18 +222,3 @@ def _study(config: Fig6Config, ctx: RunContext) -> tuple[Fig6Result, str]:
         executor=ctx.executor,
     )
     return result, _render(result, max_rows=config.max_rows)
-
-
-def main(argv: list[str] | None = None, max_rows: int | None = None) -> str:
-    """Render the Fig. 6 exploration as text (legacy driver shim).
-
-    The pre-registry signature ``main(max_rows=20)`` keeps working: a bare
-    int as the first positional argument is treated as ``max_rows``.
-    """
-    if isinstance(argv, int) and not isinstance(argv, bool):
-        argv, max_rows = None, argv
-    return run_main("fig6", argv, {"max_rows": max_rows})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

@@ -24,7 +24,7 @@ from repro.baselines.deap_cnn import DeapCnnAccelerator
 from repro.baselines.electronic import ELECTRONIC_PLATFORMS
 from repro.baselines.holylight import HolyLightAccelerator
 from repro.sim.results import format_table
-from repro.study import RunContext, StudyConfig, experiment, run_main
+from repro.study import RunContext, StudyConfig, experiment
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,3 @@ def _study(config: Fig7Config, ctx: RunContext) -> tuple[list[PowerRow], str]:
     """Reproduce Fig. 7: total power of every platform in the comparison."""
     rows = run()
     return rows, _render(rows)
-
-
-def main(argv: list[str] | None = None) -> str:
-    """Render the Fig. 7 power comparison as text (legacy driver shim)."""
-    return run_main("fig7", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

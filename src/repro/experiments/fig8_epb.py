@@ -19,7 +19,7 @@ from repro.arch.metrics import InferenceReport
 from repro.nn.zoo import build_all_models
 from repro.sim.simulator import default_accelerators, simulate_model
 from repro.sim.results import format_table
-from repro.study import RunContext, StudyConfig, experiment, run_main
+from repro.study import RunContext, StudyConfig, experiment
 
 
 @dataclass(frozen=True)
@@ -103,12 +103,3 @@ def _study(config: Fig8Config, ctx: RunContext) -> tuple[Fig8Result, str]:
     """Reproduce Fig. 8: per-model EPB of every photonic accelerator."""
     result = run()
     return result, _render(result)
-
-
-def main(argv: list[str] | None = None) -> str:
-    """Render the Fig. 8 EPB comparison as text (legacy driver shim)."""
-    return run_main("fig8", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

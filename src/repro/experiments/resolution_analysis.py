@@ -9,7 +9,7 @@ the CrossLight bank size to show where the 16-bit capability ends.  The
 bank-size sweep runs on the unified sweep engine via
 :func:`repro.crosstalk.resolution.resolution_vs_mrs_per_bank`.
 
-The optional accuracy study (``--accuracy`` / ``include_accuracy=True``)
+The optional accuracy study (``--include-accuracy`` / ``include_accuracy=True``)
 closes the loop to the model level: every bank size's crosstalk-limited
 resolution becomes one member of a single ensemble-vectorized inference
 call (:func:`repro.sim.photonic_inference.evaluate_ensemble`), measuring
@@ -38,7 +38,6 @@ from repro.study import (
     StudyConfig,
     experiment,
     precision_field,
-    run_main,
 )
 
 
@@ -99,19 +98,14 @@ def bank_size_accuracy(
     """
     # Imported here: the device-level analysis above must stay importable
     # without pulling in the NN substrate.
-    from repro.nn.datasets import sign_mnist_synthetic
-    from repro.nn.zoo import build_model
+    from repro.nn.zoo import trained_model
     from repro.sim.noise import NoiseStack, QuantizationChannel
     from repro.sim.photonic_inference import evaluate_ensemble, ideal_model_accuracy
 
     policy = resolve_precision(precision)
-    train_x, train_y, test_x, test_y = sign_mnist_synthetic(n_train=n_train, n_test=n_test)
-    model = build_model(1, compact=True)
-    if not policy.exact:
-        model.astype(policy.dtype)
-        train_x = train_x.astype(policy.dtype, copy=False)
-        test_x = test_x.astype(policy.dtype, copy=False)
-    model.fit(train_x, train_y, epochs=epochs, batch_size=32, seed=0)
+    model, (test_x, test_y) = trained_model(
+        1, n_train=n_train, n_test=n_test, epochs=epochs, seed=0, precision=policy
+    )
 
     sizes = [int(size) for size in bank_sizes]
     bits = [
@@ -258,23 +252,3 @@ def _study(
         precision=config.precision,
     )
     return result, _render(result)
-
-
-def main(argv: list[str] | None = None, include_accuracy: bool | None = None) -> str:
-    """Render the resolution analysis as text (legacy driver shim).
-
-    The accuracy study trains a model and runs an ensemble evaluation, so it
-    is opt-in (``--include-accuracy`` on the command line).  The
-    pre-registry signature ``main(include_accuracy=...)`` keeps working: a
-    bare bool as the first positional argument is treated as
-    ``include_accuracy``.
-    """
-    if isinstance(argv, bool):
-        argv, include_accuracy = None, argv
-    return run_main("resolution_analysis", argv, {"include_accuracy": include_accuracy})
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    import sys
-
-    print(main(include_accuracy="--accuracy" in sys.argv[1:]))

@@ -46,7 +46,7 @@ from repro.serve import (
 from repro.sim.results import format_table
 from repro.sim.sweep import SweepExecutor, run_sweep
 from repro.sim.tracer import trace_model
-from repro.study import RunContext, StudyConfig, experiment, run_experiment
+from repro.study import RunContext, StudyConfig, experiment
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.obs import Observability
@@ -505,37 +505,3 @@ def _study(
         obs=ctx.obs,
     )
     return result, _render(result, seed=ctx.seed)
-
-
-def main(
-    argv: list[str] | None = None, result: ServingFaultsResult | None = None
-) -> str:
-    """Render the fault study as text (driver shim matching serving_study).
-
-    ``result=`` renders a precomputed study (e.g. the benchmark's measured
-    run) without re-running it; ``argv=None`` parses no arguments.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=1200,
-                        help="target request count per serving run")
-    parser.add_argument("--fleet", type=int, default=4, help="workers per fleet")
-    parser.add_argument("--seed", type=int, default=0, help="master scenario seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool width for the sweeps")
-    args = parser.parse_args([] if argv is None else list(argv))
-
-    if result is not None:
-        return _render(result, seed=args.seed)
-    config = ServingFaultsConfig(n_requests=args.requests, fleet_size=args.fleet)
-    report = run_experiment(
-        "serving_faults", config, seed=args.seed, n_workers=args.workers
-    )
-    return report.to_text()
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    import sys
-
-    print(main(sys.argv[1:]))

@@ -42,7 +42,7 @@ from repro.serve import BatchPolicy, PoissonTraffic, serve_trace
 from repro.sim.results import format_table
 from repro.sim.sweep import SweepExecutor, grid, run_sweep
 from repro.sim.tracer import trace_model
-from repro.study import RunContext, StudyConfig, experiment, run_experiment
+from repro.study import RunContext, StudyConfig, experiment
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
     from repro.obs import Observability
@@ -537,42 +537,3 @@ def _study(
         seed=ctx.seed,
     )
     return result, text
-
-
-def main(
-    argv: list[str] | None = None, result: ServingStudyResult | None = None
-) -> str:
-    """Render the serving study as text (legacy driver shim).
-
-    Keeps the pre-registry flag spellings (``--requests``, ``--fleet``,
-    ``--seed``, ``--workers``) and the ``result=`` parameter, which renders
-    a precomputed study (e.g. the benchmark's measured run) without
-    re-running it.  ``argv=None`` parses no arguments -- the old implicit
-    ``sys.argv`` read is gone, so tests can call this without monkeypatching.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=1500,
-                        help="target request count per serving run")
-    parser.add_argument("--fleet", type=int, default=1, help="workers per fleet")
-    parser.add_argument("--seed", type=int, default=0, help="master scenario seed")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool width for the sweeps")
-    args = parser.parse_args([] if argv is None else list(argv))
-
-    if result is not None:
-        return _render(
-            result, fleet_size=args.fleet, n_requests=args.requests, seed=args.seed
-        )
-    config = ServingStudyConfig(n_requests=args.requests, fleet_size=args.fleet)
-    report = run_experiment(
-        "serving_study", config, seed=args.seed, n_workers=args.workers
-    )
-    return report.to_text()
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    import sys
-
-    print(main(sys.argv[1:]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.nn.model import SiameseModel
 from repro.nn.zoo import MODEL_SPECS, build_model
 from repro.sim.results import format_table
-from repro.study import RunContext, StudyConfig, experiment, run_main
+from repro.study import RunContext, StudyConfig, experiment
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,3 @@ def _study(config: Table1Config, ctx: RunContext) -> tuple[list[ModelRow], str]:
     """Reproduce Table I: model structure vs the paper's layer/param counts."""
     rows = run()
     return rows, _render(rows)
-
-
-def main(argv: list[str] | None = None) -> str:
-    """Render the reproduced Table I as text (legacy driver shim)."""
-    return run_main("table1_models", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.baselines.electronic import ELECTRONIC_PLATFORMS, PAPER_PHOTONIC_REFERENCE
 from repro.sim.simulator import compare_accelerators
 from repro.sim.results import format_table
-from repro.study import RunContext, StudyConfig, experiment, run_main
+from repro.study import RunContext, StudyConfig, experiment
 
 
 @dataclass(frozen=True)
@@ -138,12 +138,3 @@ def _study(config: Table3Config, ctx: RunContext) -> tuple[Table3Result, str]:
     """Reproduce Table III: average EPB and kFPS/W across all platforms."""
     result = run()
     return result, _render(result)
-
-
-def main(argv: list[str] | None = None) -> str:
-    """Render the reproduced Table III as text (legacy driver shim)."""
-    return run_main("table3_summary", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(main())

@@ -7,19 +7,20 @@ equivalent machinery on the pure-NumPy substrate:
 
 * :class:`UniformQuantizer` -- symmetric uniform quantizer with a
   configurable bit width, used for both weights and activations;
-* :func:`quantize_array` / :func:`fake_quantize` -- stateless helpers;
+* :func:`quantize_array` / :func:`quantize_array_stack` -- stateless
+  helpers fitting the range to the data (per tensor, or per ensemble member);
 * :func:`capture_parameters` / :func:`restore_parameters` /
   :func:`swapped_parameters` -- the save/transform/restore machinery for
-  temporarily replacing Conv2D/Dense parameters, shared by the wrapper below
-  and by the photonic inference engine's noise-stack weight perturbation;
-* :class:`QuantizedModelWrapper` -- wraps a trained
-  :class:`repro.nn.model.Sequential` model so that every Conv2D/Dense layer's
-  weights *and* the activations flowing between layers are quantized during
-  inference, emulating what the photonic hardware (with its crosstalk-limited
-  resolution) can actually represent;
+  temporarily replacing Conv2D/Dense parameters (the fine-tuning pass
+  below; the ensemble inference engine captures the weights it perturbs);
 * :func:`quantization_aware_finetune` -- a light QAT pass (straight-through
   estimator) that recovers part of the low-bit accuracy loss, mirroring the
   paper's use of quantization-aware training "to maximize accuracy".
+
+Quantized *inference* (weights and inter-layer activations) runs on the
+ensemble engine: a :class:`repro.sim.noise.QuantizationChannel` stack per
+resolution plus ``activation_bits``, see
+:class:`repro.sim.photonic_inference.EnsembleInferenceEngine`.
 """
 
 from __future__ import annotations
@@ -153,11 +154,6 @@ def quantize_array_stack(values: np.ndarray, bits: int) -> np.ndarray:
     return out
 
 
-def fake_quantize(values: np.ndarray, bits: int) -> np.ndarray:
-    """Quantize-dequantize pass-through used by the straight-through QAT."""
-    return quantize_array(values, bits)
-
-
 def capture_parameters(
     model: Sequential, param_names: Iterable[str] | None = None
 ) -> dict[int, dict[str, np.ndarray]]:
@@ -224,90 +220,6 @@ def swapped_parameters(
         restore_parameters(model, saved)
 
 
-class QuantizedModelWrapper:
-    """Inference-time quantization of a trained model.
-
-    Weights of every Conv2D/Dense layer are quantized to ``weight_bits`` and
-    activations flowing out of every layer are quantized to
-    ``activation_bits``, emulating the finite resolution of the photonic MR
-    weight banks and modulators.  The wrapper restores the original float
-    weights when used as a context manager, so the same trained model can be
-    evaluated at many resolutions (the Fig. 5 sweep).
-    """
-
-    def __init__(
-        self,
-        model: Sequential,
-        weight_bits: int,
-        activation_bits: int | None = None,
-    ) -> None:
-        check_positive_int("weight_bits", weight_bits)
-        self.model = model
-        self.weight_bits = weight_bits
-        self.activation_bits = activation_bits if activation_bits is not None else weight_bits
-        check_positive_int("activation_bits", self.activation_bits)
-        self._saved_weights: dict[int, dict[str, np.ndarray]] = {}
-
-    # ------------------------------------------------------------------ #
-    # Weight swapping
-    # ------------------------------------------------------------------ #
-    def __enter__(self) -> "QuantizedModelWrapper":
-        self.apply_weight_quantization()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.restore_weights()
-
-    def apply_weight_quantization(self) -> None:
-        """Replace Conv2D/Dense weights with their quantized values."""
-        self._saved_weights = capture_parameters(self.model)
-        for index, stored in self._saved_weights.items():
-            layer = self.model.layers[index]
-            for name in stored:
-                param = layer.parameters()[name]
-                param[...] = quantize_array(param, self.weight_bits)
-
-    def restore_weights(self) -> None:
-        """Restore the original float weights."""
-        restore_parameters(self.model, self._saved_weights)
-        self._saved_weights.clear()
-
-    # ------------------------------------------------------------------ #
-    # Quantized inference
-    # ------------------------------------------------------------------ #
-    def predict(self, inputs: np.ndarray, batch_size: int = 128) -> np.ndarray:
-        """Forward pass with quantized weights and activations."""
-        self.model.eval()
-        outputs = []
-        for start in range(0, inputs.shape[0], batch_size):
-            batch = inputs[start : start + batch_size]
-            out = quantize_array(batch, self.activation_bits)
-            for layer in self.model.layers:
-                out = layer.forward(out)
-                out = quantize_array(out, self.activation_bits)
-            outputs.append(out)
-        return np.concatenate(outputs, axis=0)
-
-    def evaluate(self, inputs: np.ndarray, labels: np.ndarray, batch_size: int = 128) -> float:
-        """Top-1 accuracy under quantized inference."""
-        logits = self.predict(inputs, batch_size=batch_size)
-        predictions = np.argmax(logits, axis=1)
-        return float(np.mean(predictions == np.asarray(labels, dtype=int)))
-
-
-def evaluate_quantized_accuracy(
-    model: Sequential,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    bits: int,
-    batch_size: int = 128,
-) -> float:
-    """Accuracy of ``model`` with weights and activations quantized to ``bits``."""
-    wrapper = QuantizedModelWrapper(model, weight_bits=bits, activation_bits=bits)
-    with wrapper:
-        return wrapper.evaluate(inputs, labels, batch_size=batch_size)
-
-
 def quantization_aware_finetune(
     model: Sequential,
     inputs: np.ndarray,
@@ -321,18 +233,19 @@ def quantization_aware_finetune(
 ) -> None:
     """Light quantization-aware fine-tuning with a straight-through estimator.
 
-    Each step quantizes the weights for the forward pass, computes gradients
-    as if the quantization were the identity (straight-through), and applies
-    the update to the underlying float weights.  One or two epochs of this
-    recovers a useful fraction of the accuracy lost at moderate bit widths,
-    mirroring the paper's use of QAT for the Fig. 5 sweep.
+    Each step quantizes every Conv2D/Dense parameter (biases included) for
+    the forward and backward pass, computes gradients as if the quantization
+    were the identity (straight-through), and applies the update to the
+    restored float parameters.  One or two epochs of this recovers a useful
+    fraction of the accuracy lost at moderate bit widths, mirroring the
+    paper's use of QAT (the Fig. 5 driver sweeps post-training
+    quantization).
     """
     check_positive_int("bits", bits)
     check_positive_int("epochs", epochs)
     loss = loss or SoftmaxCrossEntropy()
     optimizer = optimizer or Adam(learning_rate=5e-4)
     rng = np.random.default_rng(seed)
-    wrapper = QuantizedModelWrapper(model, weight_bits=bits, activation_bits=bits)
 
     n_samples = inputs.shape[0]
     for _ in range(epochs):
@@ -342,11 +255,10 @@ def quantization_aware_finetune(
             batch_x = inputs[batch_idx]
             batch_y = labels[batch_idx]
             model.train()
-            # Forward with quantized weights (saved/restored around the step).
-            wrapper.apply_weight_quantization()
-            logits = model.forward(batch_x)
-            _, grad = loss(logits, batch_y)
-            model.backward(grad)
-            wrapper.restore_weights()
+            # Forward and backward with every parameter quantized.
+            with swapped_parameters(model, lambda p: quantize_array(p, bits)):
+                logits = model.forward(batch_x)
+                _, grad = loss(logits, batch_y)
+                model.backward(grad)
             # Straight-through: apply the gradients to the float weights.
             optimizer.step(model.layers)

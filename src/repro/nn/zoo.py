@@ -18,7 +18,8 @@ Each model comes in two flavours:
   paper's count (the paper counts both twin branches, giving 8 CONV / 4 FC).
 * **compact** (``compact=True``) -- a downscaled version matched to the
   synthetic datasets in :mod:`repro.nn.datasets`, small enough to train on a
-  CPU in seconds.  The Fig. 5 accuracy-vs-resolution experiment trains these.
+  CPU in seconds.  :func:`trained_model` is the one place that trains them
+  (for the Fig. 5 sweep, the ablation and the resolution analysis).
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nn.backend import resolve_precision
 from repro.nn.datasets import (
     CIFAR10_SPEC,
     OMNIGLOT_SPEC,
     SIGN_MNIST_SPEC,
     STL10_SPEC,
     DatasetSpec,
+    dataset_for_model,
 )
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.model import Sequential, SiameseModel
@@ -285,6 +288,48 @@ def build_model(index: int, compact: bool = False, seed: int | None = None):
     if seed is None:
         return builder(compact=compact)
     return builder(compact=compact, seed=seed)
+
+
+def trained_model(
+    index: int,
+    *,
+    n_train: int,
+    n_test: int,
+    epochs: int,
+    seed: int,
+    precision=None,
+):
+    """Compact model ``index`` trained on its synthetic dataset stand-in.
+
+    Builds the compact model, loads ``dataset_for_model(index, n_train,
+    n_test)``, casts the model (the trunk, for model 4) and the floating
+    data to the ``precision`` policy's dtype, and fits with
+    ``batch_size=32`` and ``seed`` (skipping the per-epoch training-set
+    accuracy, which leaves the final weights unchanged).
+
+    Returns ``(model, test_split)``: ``(test_x, test_y)`` for models 1-3 and
+    ``(test_a, test_b, test_labels)`` for model 4.  Model 4 has no trainer
+    in :mod:`repro.nn`, so its cast trunk is returned *untrained* and
+    ``epochs`` is unused.
+    """
+    policy = resolve_precision(precision)
+    model = build_model(index, compact=True)
+    data = dataset_for_model(index, n_train=n_train, n_test=n_test)
+    if not policy.exact:
+        (model.trunk if index == 4 else model).astype(policy.dtype)
+        data = tuple(
+            part.astype(policy.dtype, copy=False)
+            if np.issubdtype(part.dtype, np.floating)
+            else part
+            for part in data
+        )
+    if index == 4:
+        return model, data[3:]
+    train_x, train_y, test_x, test_y = data
+    model.fit(
+        train_x, train_y, epochs=epochs, batch_size=32, seed=seed, track_accuracy=False
+    )
+    return model, (test_x, test_y)
 
 
 def build_all_models(compact: bool = False) -> dict[int, object]:

@@ -261,7 +261,7 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
                 "noise_stacks mixes NoiseStack objects with noise channels; "
                 "pass either one stack (or channel iterable) or a sequence of stacks"
             )
-        # An iterable of channels: one shared stack, like the scalar engine.
+        # An iterable of channels: one stack shared by every member.
         return NoiseStack(items), None
 
     # ------------------------------------------------------------------ #

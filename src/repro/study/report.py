@@ -2,9 +2,8 @@
 
 A :class:`StudyReport` is what ``repro run <name>`` (and the programmatic
 :func:`repro.study.run_experiment`) returns: the experiment's structured
-records, the exact plain-text rendering the legacy ``main()`` drivers
-printed (so ``to_text()`` stays byte-identical across the API redesign),
-and a machine-readable envelope with the cross-cutting run accounting --
+records, the exact plain-text rendering ``repro run <name>`` prints, and
+a machine-readable envelope with the cross-cutting run accounting --
 config, seed, worker count, wall time, and the memoization hits/misses the
 run was responsible for.  ``to_dict()``/``to_json()`` round-trip losslessly
 through :meth:`StudyReport.from_dict`/:meth:`StudyReport.from_json`, which
@@ -48,7 +47,7 @@ class StudyReport:
         return self._records
 
     def to_text(self) -> str:
-        """The plain-text report (byte-identical to the legacy ``main()``)."""
+        """The plain-text report ``repro run <name>`` prints."""
         return self.text
 
     def to_dict(self) -> dict[str, Any]:

@@ -240,25 +240,3 @@ def run_experiment(
     """One-shot convenience over :class:`StudyRunner` for a single run."""
     with StudyRunner(seed=seed, n_workers=n_workers) as runner:
         return runner.run(name, config, **overrides)
-
-
-def run_main(
-    name: str,
-    argv: list[str] | None = None,
-    overrides: dict[str, Any] | None = None,
-) -> str:
-    """The shared body of every legacy ``main(argv) -> str`` driver shim.
-
-    Parses ``argv`` with the experiment's auto-generated config flags,
-    applies any non-``None`` legacy keyword ``overrides`` on top (the old
-    ``main(include_fpv_monte_carlo=...)``-style arguments), runs the
-    experiment through the registry, and returns the text report --
-    byte-identical to what the pre-registry driver printed.
-    """
-    exp = get_experiment(name)
-    config = exp.config_cls.from_cli_args(argv)
-    if overrides:
-        data = config.to_dict()
-        data.update({key: value for key, value in overrides.items() if value is not None})
-        config = exp.config_cls.from_dict(data)
-    return run_experiment(name, config).to_text()

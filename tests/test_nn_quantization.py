@@ -8,17 +8,30 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    QuantizedModelWrapper,
     UniformQuantizer,
     build_model,
     capture_parameters,
-    evaluate_quantized_accuracy,
     quantization_aware_finetune,
     quantize_array,
     restore_parameters,
     sign_mnist_synthetic,
     swapped_parameters,
 )
+from repro.sim import NoiseStack, QuantizationChannel, evaluate_ensemble
+
+
+def _quantized_accuracy(model, test_x, test_y, bits):
+    """Accuracy with weights and activations quantized to ``bits``."""
+    (record,) = evaluate_ensemble(
+        model,
+        test_x,
+        test_y,
+        NoiseStack([QuantizationChannel(bits=bits)]),
+        seeds=1,
+        activation_bits=bits,
+        batch_size=128,
+    )
+    return record.accuracy
 
 
 class TestParameterSwapping:
@@ -122,41 +135,20 @@ class TestQuantizeArray:
         np.testing.assert_allclose(quantize_array(values, 16), values, atol=1e-3)
 
 
-class TestQuantizedModelWrapper:
-    def test_context_manager_restores_weights(self):
-        model = build_model(1, compact=True)
-        original = [p.copy() for layer in model.layers for p in layer.parameters().values()]
-        with QuantizedModelWrapper(model, weight_bits=2):
-            pass
-        restored = [p for layer in model.layers for p in layer.parameters().values()]
-        for before, after in zip(original, restored):
-            np.testing.assert_allclose(before, after)
-
-    def test_weights_actually_quantized_inside_context(self):
-        model = build_model(1, compact=True)
-        wrapper = QuantizedModelWrapper(model, weight_bits=2)
-        with wrapper:
-            weights = model.layers[0].parameters()["weight"]
-            assert len(np.unique(np.round(weights, 9))) <= 4
-
+class TestQuantizedInference:
     def test_accuracy_degrades_at_low_bits(self, trained_compact_lenet):
         model, test_x, test_y = trained_compact_lenet
-        high = evaluate_quantized_accuracy(model, test_x, test_y, 16)
-        low = evaluate_quantized_accuracy(model, test_x, test_y, 1)
+        high = _quantized_accuracy(model, test_x, test_y, 16)
+        low = _quantized_accuracy(model, test_x, test_y, 1)
         full = model.evaluate(test_x, test_y)
         assert high == pytest.approx(full, abs=0.05)
         assert low < high
 
     def test_16bit_quantization_nearly_lossless(self, trained_compact_lenet):
         model, test_x, test_y = trained_compact_lenet
-        assert evaluate_quantized_accuracy(model, test_x, test_y, 16) == pytest.approx(
+        assert _quantized_accuracy(model, test_x, test_y, 16) == pytest.approx(
             model.evaluate(test_x, test_y), abs=0.03
         )
-
-    def test_invalid_bits_rejected(self):
-        model = build_model(1, compact=True)
-        with pytest.raises((TypeError, ValueError)):
-            QuantizedModelWrapper(model, weight_bits=0)
 
 
 class TestQuantizationAwareFinetune:
@@ -164,9 +156,9 @@ class TestQuantizationAwareFinetune:
         train_x, train_y, test_x, test_y = sign_mnist_synthetic(n_train=120, n_test=60)
         model = build_model(1, compact=True)
         model.fit(train_x, train_y, epochs=2, batch_size=32, seed=0)
-        before = evaluate_quantized_accuracy(model, test_x, test_y, 4)
+        before = _quantized_accuracy(model, test_x, test_y, 4)
         quantization_aware_finetune(model, train_x, train_y, bits=4, epochs=1)
-        after = evaluate_quantized_accuracy(model, test_x, test_y, 4)
+        after = _quantized_accuracy(model, test_x, test_y, 4)
         for layer in model.layers:
             for param in layer.parameters().values():
                 assert np.all(np.isfinite(param))

@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.accelerator import CrossLightAccelerator
-from repro.experiments import serving_faults
 from repro.nn.zoo import build_model
 from repro.serve import (
     BatchPolicy,
@@ -530,7 +529,3 @@ class TestServingFaultsStudy:
         text = reduced.to_text()
         assert "Crash-mid-batch demo" in text
         assert "8 retries" in text and "8 failed" in text
-
-    def test_main_shim_matches_registry(self):
-        report = run_experiment("serving_faults", n_requests=150)
-        assert serving_faults.main(["--requests", "150"]) == report.to_text()

@@ -3,9 +3,9 @@
 Covers the API-redesign contract:
 
 * the registry names all 13 experiments and resolves legacy module names;
-* legacy ``run()``/``main()`` shims are equivalent to the registry path
-  (same text, byte for byte) for every experiment, at reduced scale where
-  a full run would train models for minutes;
+* ``repro run <name> [flags]`` prints ``run_experiment(name, ...).to_text()``
+  byte for byte, at reduced scale where a full run would train models for
+  minutes;
 * ``StudyReport`` round-trips through dict/JSON losslessly;
 * config dataclasses validate on construction (hypothesis-driven);
 * ``import repro.experiments`` is lazy and stays within its time budget;
@@ -28,7 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import (
-    ablation,
     device_dse,
     fig4_thermal,
     fig5_resolution_accuracy,
@@ -66,7 +65,7 @@ ALL_NAMES = (
     "serving_faults",
 )
 
-#: Pre-redesign output of ``table2_devices.main()``, pinned verbatim: the
+#: Pre-redesign text of the Table II driver, pinned verbatim: the
 #: device constants are static, so this must never change.
 TABLE2_GOLDEN = """\
 Table II reproduction - optoelectronic device parameters
@@ -117,7 +116,7 @@ class TestRegistry:
 
 
 class TestEquivalenceCheap:
-    """Legacy main() == registry to_text(), full scale, cheap experiments."""
+    """``repro run <name>`` == registry ``to_text()``, full scale, cheap experiments."""
 
     @pytest.mark.parametrize(
         "name, module",
@@ -130,26 +129,28 @@ class TestEquivalenceCheap:
             ("resolution_analysis", resolution_analysis),
         ],
     )
-    def test_main_matches_registry(self, name, module):
-        assert module.main() == run_experiment(name).to_text()
+    def test_main_matches_registry(self, name, module, capsys):
+        # The driver module's basename names the same experiment.
+        assert get_experiment(module.__name__.rsplit(".", 1)[1]) is get_experiment(name)
+        assert cli_main(["run", name]) == 0
+        assert capsys.readouterr().out == run_experiment(name).to_text() + "\n"
 
     def test_table2_pinned_against_pre_redesign_output(self):
-        assert table2_devices.main() == TABLE2_GOLDEN
         assert run_experiment("table2_devices").to_text() == TABLE2_GOLDEN
 
-    def test_legacy_positional_shims(self):
-        # device_dse.main(max_rows) and fig6-style bool/int positionals.
-        assert device_dse.main(3) == run_experiment("device_dse", max_rows=3).to_text()
-        assert (
-            resolution_analysis.main(include_accuracy=False)
-            == run_experiment("resolution_analysis").to_text()
-        )
+
+def _cli_text(capsys, name: str, *flags: str) -> str:
+    """What ``repro run <name> <flags>`` prints, without the final newline."""
+    assert cli_main(["run", name, *flags]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    return out[:-1]
 
 
 class TestEquivalenceReduced:
-    """Legacy main(argv) == registry path at reduced scale, heavy drivers."""
+    """CLI flags == registry keyword overrides at reduced scale, heavy drivers."""
 
-    def test_fig5(self):
+    def test_fig5(self, capsys):
         argv = [
             "--model-indices", "1",
             "--bits-sweep", "1", "16",
@@ -165,35 +166,30 @@ class TestEquivalenceReduced:
             n_train=60,
             n_test=40,
         )
-        assert fig5_resolution_accuracy.main(argv) == report.to_text()
+        assert _cli_text(capsys, "fig5", *argv) == report.to_text()
         assert "Fig. 5 reproduction" in report.to_text()
 
-    def test_fig6(self):
+    def test_fig6(self, capsys):
         flat = (20, 150, 100, 60, 10, 100, 50, 30)
         argv = ["--geometries", *map(str, flat), "--max-rows", "2"]
         report = run_experiment("fig6", geometries=flat, max_rows=2)
-        assert fig6_design_space.main(argv) == report.to_text()
-        # Legacy int-positional shim still renders (full sweep is memoized
-        # via build_all_models? no -- keep to the reduced sweep here).
+        assert _cli_text(capsys, "fig6", *argv) == report.to_text()
         assert report.to_text().startswith("Fig. 6 reproduction")
 
-    def test_serving_study(self):
+    def test_serving_study(self, capsys):
         report = run_experiment("serving_study", n_requests=150)
-        assert serving_study.main(["--requests", "150"]) == report.to_text()
+        assert _cli_text(capsys, "serving_study", "--n-requests", "150") == report.to_text()
         assert "(fleet=1, ~150 requests/run, seed=0)" in report.to_text()
 
     def test_serving_study_precomputed_result_render(self):
         report = run_experiment("serving_study", n_requests=150)
-        text = serving_study.main(["--requests", "150"], result=report.result)
+        text = serving_study._render(report.result, fleet_size=1, n_requests=150, seed=0)
         assert text == report.to_text()
 
-    def test_ablation_without_accuracy(self):
-        argv = ["--no-include-drift-accuracy"]
+    def test_ablation_without_accuracy(self, capsys):
         report = run_experiment("ablation", include_drift_accuracy=False)
-        assert ablation.main(argv) == report.to_text()
+        assert _cli_text(capsys, "ablation", "--no-include-drift-accuracy") == report.to_text()
         assert "Ablation 4" not in report.to_text()
-        # Legacy bool-positional shim maps to include_fpv_monte_carlo.
-        assert ablation.main(False) == run_experiment("ablation").to_text()
 
 
 class TestStudyReport:
