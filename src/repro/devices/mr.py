@@ -145,7 +145,7 @@ class MicroringResonator:
         wavelength = np.asarray(wavelength_nm, dtype=float)
         detuning = self._detuning_to_nearest_resonance(wavelength)
         half_width = self.fwhm_nm / 2.0
-        lorentzian = 1.0 / (1.0 + (detuning / half_width) ** 2)
+        lorentzian = 1.0 / (1.0 + np.square(detuning / half_width))
         transmission = 1.0 - (1.0 - self.min_transmission) * lorentzian
         if np.isscalar(wavelength_nm):
             return float(transmission)
@@ -267,7 +267,7 @@ class MicroringResonator:
         nominal_detuning = self.detuning_for_transmission(target)
         actual_detuning = np.asarray(nominal_detuning) + drift
         half_width = self.fwhm_nm / 2.0
-        lorentzian = 1.0 / (1.0 + (actual_detuning / half_width) ** 2)
+        lorentzian = 1.0 / (1.0 + np.square(actual_detuning / half_width))
         realised = 1.0 - (1.0 - self.min_transmission) * lorentzian
         if target.ndim == 0 and drift.ndim == 0:
             return float(realised)

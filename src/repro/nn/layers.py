@@ -16,12 +16,13 @@ product structure via :meth:`Layer.workload`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nn import functional as F
-from repro.nn.initializers import glorot_uniform, he_normal, zeros
+from repro.nn.initializers import DeferredDraws, glorot_uniform, he_normal, zeros
 from repro.utils.validation import check_positive_int
 
 
@@ -75,7 +76,9 @@ class Layer:
     Sub-classes implement :meth:`forward` and :meth:`backward`; stateful
     layers additionally expose their parameters and gradients through
     :meth:`parameters` and :meth:`gradients` as dictionaries keyed by
-    parameter name.
+    parameter name.  Only a training-mode forward keeps the state
+    :meth:`backward` needs: in eval mode a layer holds no input, patch
+    matrix or mask, and :meth:`backward` raises ``RuntimeError``.
     """
 
     #: Human-readable layer-type name used in model summaries.
@@ -83,6 +86,17 @@ class Layer:
 
     def __init__(self) -> None:
         self.training = True
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup misses, so a drawn ``weight`` costs
+        # nothing here.  A kernel deferred to a DeferredDraws is drawn, with
+        # every other pending kernel of its builder, on its first read.
+        draws = self.__dict__.get("_draws")
+        if name == "weight" and draws is not None:
+            draws.materialise()
+            if name in self.__dict__:
+                return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Compute the layer output for ``inputs``."""
@@ -134,7 +148,45 @@ class Layer:
         return int(sum(p.size for p in self.parameters().values()))
 
 
-class Dense(Layer):
+class _KernelLayer(Layer):
+    """Parameter plumbing shared by Dense and Conv2D: a kernel and an optional bias.
+
+    ``rng`` may be a :class:`~repro.nn.initializers.DeferredDraws`, which
+    defers the kernel draw to the first read of ``weight``; a Generator (or
+    none, meaning ``default_rng(0)``) draws it at construction.
+    """
+
+    def _init_parameters(self, shape, initializer, n_out: int, use_bias: bool, rng) -> None:
+        self.use_bias = use_bias
+        self._weight_shape = shape
+        if isinstance(rng, DeferredDraws):
+            rng.defer(self, initializer, shape)
+        else:
+            self.weight = initializer(shape, rng or np.random.default_rng(0))
+        self.bias = zeros((n_out,)) if use_bias else None
+        # np.zeros (calloc), not zeros_like: no page is touched before backward replaces it.
+        self._grad_weight = np.zeros(shape, float)
+        self._grad_bias = np.zeros((n_out,), float) if use_bias else None
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        params = {"weight": self.weight}
+        if self.use_bias:
+            params["bias"] = self.bias
+        return params
+
+    def gradients(self) -> dict[str, np.ndarray]:
+        grads = {"weight": self._grad_weight}
+        if self.use_bias:
+            grads["bias"] = self._grad_bias
+        return grads
+
+    @property
+    def n_parameters(self) -> int:
+        # From the shapes, so counting draws no deferred kernel.
+        return math.prod(self._weight_shape) + (self.bias.size if self.use_bias else 0)
+
+
+class Dense(_KernelLayer):
     """Fully connected layer: ``y = x W + b``.
 
     Parameters
@@ -145,7 +197,8 @@ class Dense(Layer):
         Whether to add a bias vector.
     rng:
         Random generator for weight initialization (seeded for
-        reproducibility of the accuracy experiments).
+        reproducibility of the accuracy experiments), or a builder's
+        :class:`~repro.nn.initializers.DeferredDraws`.
     """
 
     kind = "fc"
@@ -160,15 +213,11 @@ class Dense(Layer):
         super().__init__()
         check_positive_int("in_features", in_features)
         check_positive_int("out_features", out_features)
-        rng = rng or np.random.default_rng(0)
         self.in_features = in_features
         self.out_features = out_features
-        self.use_bias = use_bias
-        self.weight = glorot_uniform((in_features, out_features), rng)
-        self.bias = zeros((out_features,)) if use_bias else None
-        # np.zeros (calloc), not zeros_like: no page is touched before backward replaces it.
-        self._grad_weight = np.zeros(self.weight.shape, self.weight.dtype)
-        self._grad_bias = np.zeros(self.bias.shape, self.bias.dtype) if use_bias else None
+        self._init_parameters(
+            (in_features, out_features), glorot_uniform, out_features, use_bias, rng
+        )
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -176,7 +225,7 @@ class Dense(Layer):
             raise ValueError(
                 f"Dense expected input of shape (N, {self.in_features}), got {inputs.shape}"
             )
-        self._last_input = inputs
+        self._last_input = inputs if self.training else None
         output = F.matmul(inputs, self.weight)
         if self.use_bias:
             output = output + self.bias
@@ -218,7 +267,7 @@ class Dense(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._last_input is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         self._grad_weight = F.matmul(self._last_input.T, grad_output)
         if self.use_bias:
             self._grad_bias = grad_output.sum(axis=0)
@@ -226,22 +275,10 @@ class Dense(Layer):
 
     def backward_params(self, grad_output: np.ndarray) -> None:
         if self._last_input is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         self._grad_weight = F.matmul(self._last_input.T, grad_output)
         if self.use_bias:
             self._grad_bias = grad_output.sum(axis=0)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {"weight": self.weight}
-        if self.use_bias:
-            params["bias"] = self.bias
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {"weight": self._grad_weight}
-        if self.use_bias:
-            grads["bias"] = self._grad_bias
-        return grads
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (self.out_features,)
@@ -254,7 +291,7 @@ class Dense(Layer):
         )
 
 
-class Conv2D(Layer):
+class Conv2D(_KernelLayer):
     """2-D convolution layer in NCHW layout, lowered to im2col matrix products.
 
     Parameters
@@ -288,20 +325,15 @@ class Conv2D(Layer):
         check_positive_int("stride", stride)
         if padding < 0:
             raise ValueError("padding must be non-negative")
-        rng = rng or np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        self.use_bias = use_bias
-        self.weight = he_normal(
-            (out_channels, in_channels, kernel_size, kernel_size), rng
+        self._init_parameters(
+            (out_channels, in_channels, kernel_size, kernel_size),
+            he_normal, out_channels, use_bias, rng,
         )
-        self.bias = zeros((out_channels,)) if use_bias else None
-        # np.zeros (calloc), not zeros_like: no page is touched before backward replaces it.
-        self._grad_weight = np.zeros(self.weight.shape, self.weight.dtype)
-        self._grad_bias = np.zeros(self.bias.shape, self.bias.dtype) if use_bias else None
         self._cache: tuple | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -318,7 +350,7 @@ class Conv2D(Layer):
         if self.use_bias:
             output = output + self.bias
         output = output.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (inputs.shape, cols)
+        self._cache = (inputs.shape, cols) if self.training else None
         return output
 
     def lower(self, inputs: np.ndarray) -> np.ndarray:
@@ -367,7 +399,7 @@ class Conv2D(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         input_shape, cols = self._cache
         n, _, out_h, out_w = grad_output.shape
         grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
@@ -392,24 +424,12 @@ class Conv2D(Layer):
         # (largest-spatial) conv of a model that is the single most
         # expensive step of the whole backward pass.
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         _, cols = self._cache
         grad_matrix = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         self._grad_weight = F.matmul(cols.T, grad_matrix).T.reshape(self.weight.shape)
         if self.use_bias:
             self._grad_bias = grad_matrix.sum(axis=0)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        params = {"weight": self.weight}
-        if self.use_bias:
-            params["bias"] = self.bias
-        return params
-
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {"weight": self._grad_weight}
-        if self.use_bias:
-            grads["bias"] = self._grad_bias
-        return grads
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         c, h, w = input_shape
@@ -498,12 +518,12 @@ class MaxPool2D(_Pool2D):
         cols, out_h, out_w = self._patches(inputs)
         argmax = np.argmax(cols, axis=1)
         output = cols[np.arange(cols.shape[0]), argmax]
-        self._cache = (inputs.shape, argmax, out_h, out_w)
+        self._cache = (inputs.shape, argmax, out_h, out_w) if self.training else None
         return output.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         input_shape, argmax, out_h, out_w = self._cache
         n, c, h, w = input_shape
         grad_cols = np.zeros(
@@ -523,12 +543,12 @@ class AvgPool2D(_Pool2D):
         n, c, h, w = inputs.shape
         cols, out_h, out_w = self._patches(inputs)
         output = cols.mean(axis=1)
-        self._cache = (inputs.shape, out_h, out_w)
+        self._cache = (inputs.shape, out_h, out_w) if self.training else None
         return output.reshape(n, c, out_h, out_w)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         input_shape, out_h, out_w = self._cache
         window = self.pool_size * self.pool_size
         grad_cols = np.repeat(grad_output.reshape(-1, 1), window, axis=1) / window
@@ -545,12 +565,12 @@ class Flatten(Layer):
         self._input_shape: tuple[int, ...] | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._input_shape = inputs.shape
+        self._input_shape = inputs.shape if self.training else None
         return inputs.reshape(inputs.shape[0], -1)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         return grad_output.reshape(self._input_shape)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -567,12 +587,12 @@ class ReLU(Layer):
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._last_input = inputs
+        self._last_input = inputs if self.training else None
         return F.relu(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._last_input is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         return grad_output * F.relu_grad(self._last_input)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -589,12 +609,12 @@ class Sigmoid(Layer):
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._last_input = inputs
+        self._last_input = inputs if self.training else None
         return F.sigmoid(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._last_input is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         return grad_output * F.sigmoid_grad(self._last_input)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -611,12 +631,12 @@ class Tanh(Layer):
         self._last_input: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._last_input = inputs
+        self._last_input = inputs if self.training else None
         return F.tanh(inputs)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._last_input is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         return grad_output * F.tanh_grad(self._last_input)
 
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -697,14 +717,14 @@ class BatchNorm(Layer):
         mean_b = self._reshape_stats(mean, inputs.ndim)
         var_b = self._reshape_stats(var, inputs.ndim)
         normalized = (inputs - mean_b) / np.sqrt(var_b + self.eps)
-        self._cache = (normalized, var_b, axes, inputs.shape)
+        self._cache = (normalized, var_b, axes, inputs.shape) if self.training else None
         gamma_b = self._reshape_stats(self.gamma, inputs.ndim)
         beta_b = self._reshape_stats(self.beta, inputs.ndim)
         return gamma_b * normalized + beta_b
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training-mode forward first")
         normalized, var_b, axes, input_shape = self._cache
         m = np.prod([input_shape[a] for a in axes])
         self._grad_gamma = (grad_output * normalized).sum(axis=axes)

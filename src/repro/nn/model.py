@@ -116,6 +116,7 @@ class Sequential:
         """
         dtype = np.dtype(dtype)
         for layer in self.layers:
+            layer.parameters()  # draws deferred kernels, so vars() holds them
             for name, value in vars(layer).items():
                 if isinstance(value, np.ndarray) and np.issubdtype(
                     value.dtype, np.floating

@@ -16,6 +16,9 @@ Each model comes in two flavours:
   paper's accelerator simulator saw.  Model 4's trunk follows the classic
   Koch-style Omniglot Siamese network, whose 38.95 M parameters match the
   paper's count (the paper counts both twin branches, giving 8 CONV / 4 FC).
+  Their weights are drawn on first use (as are the compact models', see
+  :class:`~repro.nn.initializers.DeferredDraws`): workloads and parameter
+  counts allocate no kernel.
 * **compact** (``compact=True``) -- a downscaled version matched to the
   synthetic datasets in :mod:`repro.nn.datasets`, small enough to train on a
   CPU in seconds.  :func:`trained_model` is the one place that trains them
@@ -37,6 +40,7 @@ from repro.nn.datasets import (
     DatasetSpec,
     dataset_for_model,
 )
+from repro.nn.initializers import DeferredDraws
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.model import Sequential, SiameseModel
 
@@ -79,7 +83,7 @@ def build_lenet5(compact: bool = False, seed: int = 0) -> Sequential:
     classes (Sign-MNIST letters) and lands within a few percent of the
     paper's 60,074 parameters.
     """
-    rng = np.random.default_rng(seed)
+    rng = DeferredDraws(seed)
     if compact:
         input_shape = SIGN_MNIST_SPEC.image_shape  # (1, 16, 16)
         layers = [
@@ -116,7 +120,7 @@ def build_lenet5(compact: bool = False, seed: int = 0) -> Sequential:
 # --------------------------------------------------------------------------- #
 def build_cnn_cifar10(compact: bool = False, seed: int = 1) -> Sequential:
     """Custom CNN with 4 CONV + 2 FC layers (~890 k parameters full-size)."""
-    rng = np.random.default_rng(seed)
+    rng = DeferredDraws(seed)
     if compact:
         input_shape = CIFAR10_SPEC.image_shape  # (3, 16, 16)
         layers = [
@@ -161,7 +165,7 @@ def build_cnn_cifar10(compact: bool = False, seed: int = 1) -> Sequential:
 # --------------------------------------------------------------------------- #
 def build_cnn_stl10(compact: bool = False, seed: int = 2) -> Sequential:
     """Custom CNN with 7 CONV + 2 FC layers (~3.2 M parameters full-size)."""
-    rng = np.random.default_rng(seed)
+    rng = DeferredDraws(seed)
     if compact:
         input_shape = STL10_SPEC.image_shape  # (3, 24, 24)
         layers = [
@@ -225,7 +229,7 @@ def build_siamese_omniglot(compact: bool = False, seed: int = 3) -> SiameseModel
     The trunk has 4 CONV + 2 FC layers; because both twin branches execute it
     per pair inference, the paper counts the model as 8 CONV + 4 FC layers.
     """
-    rng = np.random.default_rng(seed)
+    rng = DeferredDraws(seed)
     if compact:
         input_shape = OMNIGLOT_SPEC.image_shape  # (1, 20, 20)
         trunk_layers = [

@@ -157,8 +157,10 @@ class EnsembleInferenceEngine:
       ``(E, ...)`` weight axis (:meth:`~repro.nn.layers.Dense.\
 forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     * im2col patch matrices and all activations upstream of the first noisy
-      layer are computed **once per input batch** and shared across members
-      (when the members' activation resolutions agree);
+      layer are computed **once per input batch and activation resolution**
+      and shared across that resolution's members; each resolution lowers
+      the batch itself (no merged lowering across resolutions), and its
+      cached prefix is freed after its last member chunk;
     * non-parametric layers run stack-wise where that is free (elementwise
       activations apply to the whole ``(E, N, ...)`` stack in one ufunc
       pass; flatten is a reshape) and per member at batch size where a
@@ -334,7 +336,9 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         quantization, patch matrices) within the chunk and cache it across
         chunks with the same resolution; a resolution sweep (the fig5 shape)
         thereby degenerates to one chunk per resolution rather than forcing
-        the whole ensemble onto the fully-stacked path.  ``member_chunk``
+        the whole ensemble onto the fully-stacked path.  :meth:`predict`
+        drops a resolution's cached prefix after its last chunk, so a sweep
+        holds one resolution's patch matrices at a time.  ``member_chunk``
         additionally bounds each chunk's size.
         """
         limit = self._member_chunk
@@ -350,52 +354,6 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
                     chunks.append(range(start + chunk.start, start + chunk.stop))
                 start = member
         return chunks
-
-    def _plan_batch(
-        self,
-        model: Sequential,
-        layer_stacks: dict[int, np.ndarray],
-        batch: np.ndarray,
-        chunks: list[range],
-        cache: dict,
-    ) -> None:
-        """One planning pass fusing the shared prefix across ALL resolutions.
-
-        A resolution sweep (the fig5 shape) arrives as one chunk per
-        activation resolution.  Without planning, each chunk quantizes the
-        batch and lowers it through im2col separately -- one dispatch per
-        resolution point.  This pass instead prepares every resolution's
-        prefix up front: all distinct input-quantization variants are
-        computed, and when the model opens with a noisy Conv2D they are
-        stacked along the batch axis and lowered with **one** ``im2col``
-        call, whose row blocks are then sliced back into the
-        per-resolution cache entries :meth:`_forward_members` consumes.
-
-        The merged lowering is bit-identical to the per-resolution calls:
-        im2col is a pure gather and its rows are ordered by sample, so the
-        rows of variant ``r`` in the merged output are exactly the rows of a
-        standalone ``im2col`` over that variant.
-        """
-        distinct_bits: list[int | None] = []
-        for members in chunks:
-            bits = self.activation_bits[members.start]
-            if bits not in distinct_bits:
-                distinct_bits.append(bits)
-        batch = np.asarray(batch)
-        variants = []
-        for bits in distinct_bits:
-            key = ("in", bits)
-            if key not in cache:
-                cache[key] = self._quantize_shared(self._cast(batch), bits)
-            variants.append(cache[key])
-        first = model.layers[0]
-        if len(variants) > 1 and 0 in layer_stacks and isinstance(first, Conv2D):
-            merged = first.lower(np.concatenate(variants, axis=0))
-            rows_per_variant = merged.shape[0] // len(variants)
-            for i, bits in enumerate(distinct_bits):
-                cache[("cols", 0, bits)] = merged[
-                    i * rows_per_variant : (i + 1) * rows_per_variant
-                ]
 
     def _forward_members(
         self,
@@ -488,15 +446,21 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         model.eval()
         inputs = np.asarray(inputs)
         chunks = self._member_chunks()
+        chunk_bits = [self.activation_bits[members.start] for members in chunks]
+        last_chunk = {bits: position for position, bits in enumerate(chunk_bits)}
         outputs = []
         for start in range(0, inputs.shape[0], batch_size):
             batch = inputs[start : start + batch_size]
             cache: dict = {}
-            self._plan_batch(model, layer_stacks, batch, chunks, cache)
-            parts = [
-                self._forward_members(model, layer_stacks, batch, members, cache)
-                for members in chunks
-            ]
+            parts = []
+            for position, (members, bits) in enumerate(zip(chunks, chunk_bits)):
+                parts.append(
+                    self._forward_members(model, layer_stacks, batch, members, cache)
+                )
+                if last_chunk[bits] == position:
+                    # Every cache key ends in its resolution: free this one's prefix.
+                    for key in [key for key in cache if key[-1] == bits]:
+                        del cache[key]
             outputs.append(
                 parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
             )

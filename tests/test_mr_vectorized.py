@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -160,6 +160,8 @@ class TestEngineEquivalence:
         ),
         drift=st.floats(min_value=0.01, max_value=2.1, allow_nan=False),
     )
+    # A scalar ``** 2`` went through libm ``pow`` and was 1 ulp off the array square.
+    @example(weights=np.array([[1.421875, 1.875], [0.0, 0.0]]), drift=0.7341289852597939)
     def test_perturbed_weights_matches_seed_per_element_loop(self, weights, drift):
         from repro.nn.quantization import quantize_array
 

@@ -274,26 +274,84 @@ class TestGradientBuffers:
             assert grads[name].dtype == param.dtype
             assert not grads[name].any()
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux-specific")
-    def test_full_size_build_touches_no_gradient_pages(self):
-        # A fresh interpreter, so the peak RSS measured is this build's alone.
+    @staticmethod
+    def _fresh_interpreter(code: str) -> str:
+        # A fresh interpreter, so the peak RSS measured is this code's alone.
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        code = (
-            "import resource\n"
-            "from repro.nn import build_model\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "model = build_model(4)\n"
-            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "params = sum(p.nbytes for l in model.trunk.layers for p in l.parameters().values())\n"
-            "print((after - before) * 1024, params)\n"
-        )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        grown, param_bytes = (int(v) for v in proc.stdout.split())
+        return proc.stdout
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux-specific")
+    def test_full_size_build_touches_no_gradient_pages(self):
+        # Reading every trunk layer's parameters draws the deferred kernels,
+        # so the measurement covers parameters plus gradient buffers.
+        stdout = self._fresh_interpreter(
+            "import resource\n"
+            "from repro.nn import build_model\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "model = build_model(4)\n"
+            "params = sum(p.nbytes for l in model.trunk.layers for p in l.parameters().values())\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) * 1024, params)\n"
+        )
+        grown, param_bytes = (int(v) for v in stdout.split())
+        assert param_bytes > 100 * 2**20
         # Parameters alone are 1.0x; a zero-filled gradient buffer doubles it.
         assert grown < 1.5 * param_bytes, (grown, param_bytes)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss units are Linux-specific")
+    def test_full_size_shapes_draw_no_weights(self):
+        # Workloads and parameter counts read shapes only: the ~300 MB of
+        # model 4's kernels stay undrawn.
+        stdout = self._fresh_interpreter(
+            "import resource\n"
+            "from repro.nn import build_model\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "model = build_model(4)\n"
+            "macs = sum(w.macs for w in model.workloads())\n"
+            "n = model.n_parameters\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print((after - before) * 1024, n)\n"
+        )
+        grown, n_parameters = (int(v) for v in stdout.split())
+        assert n_parameters == 38_951_745
+        assert grown < 10 * 2**20, grown
+
+
+class TestEvalModeState:
+    def test_predict_keeps_no_backward_state(self, rng):
+        model = Sequential(
+            [
+                Conv2D(1, 2, kernel_size=3, padding=1, rng=rng),
+                ReLU(),
+                MaxPool2D(2),
+                Conv2D(2, 2, kernel_size=3, padding=1, rng=rng),
+                Tanh(),
+                AvgPool2D(2),
+                Flatten(),
+                Dense(8, 4, rng=rng),
+                Sigmoid(),
+                Dense(4, 3, rng=rng),
+            ],
+            input_shape=(1, 8, 8),
+        )
+        x = rng.normal(size=(2, 1, 8, 8))
+        model.forward(x)  # a training-mode forward fills every cache
+        model.predict(x)
+        shapes = model.layer_shapes()
+        for layer, shape in zip(model.layers, shapes):
+            state = {
+                name: value
+                for name, value in vars(layer).items()
+                if name in ("_cache", "_last_input", "_input_shape")
+            }
+            assert state and all(value is None for value in state.values()), layer
+            grad = np.ones((2, *layer.output_shape(shape)))
+            with pytest.raises(RuntimeError):
+                layer.backward(grad)

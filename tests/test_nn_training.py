@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,43 @@ class TestModelZoo:
         trunk_macs = sum(w.macs for w in siamese.trunk.workloads())
         pair_macs = sum(w.macs for w in siamese.workloads())
         assert pair_macs == 2 * trunk_macs
+
+    # sha256 over every parameter (name, dtype, bytes) in layer order, and
+    # the parameter count, of each zoo build: pins the initializer streams.
+    PARAMETER_GOLDENS = {
+        (1, False): (58_796, "ed9dd0619b29d83f0f0a6f4a6732c876fc6bb77505f8df252230852dffe6b1d3"),
+        (2, False): (886_978, "4dbfddba242b3526240dae840bea1d39b03e469d48c6c0bd60ca234c4a6caf0b"),
+        (3, False): (3_206_002, "ff6fb536257e2ff104467fc2c8c16ddca048a48f263b7d891d004b2985e1aa27"),
+        (4, False): (38_951_745, "64e648aa05c50ee60b0bf5850adf36d53d3a8839ebb74f6aefc98885e9e8c73b"),
+        (1, True): (10_474, "74a8fa52f7d0472c90eaa79061e7531bd7207e5bf44d513baeca100bbf2cd280"),
+        (2, True): (21_394, "82f674c1f1a281e17d8e25eb93f8edd9c1a6c00a334323097b5da331fd4f32ca"),
+        (3, True): (32_730, "70c50bc3603c107e581972040a354ce901bf2193a76fb57c214aad99d652e212"),
+        (4, True): (33_632, "6f4d5db48aca60ef8176f5193d8fd91502e99a9e9e869eac987e7f6c6be171c1"),
+    }
+
+    @pytest.mark.parametrize("compact", [False, True], ids=["full", "compact"])
+    @pytest.mark.parametrize("index", [1, 2, 3, 4])
+    def test_parameters_golden(self, index, compact):
+        model = build_model(index, compact=compact)
+        n_parameters, expected = self.PARAMETER_GOLDENS[index, compact]
+        assert model.n_parameters == n_parameters
+        digest = hashlib.sha256()
+        for layer in getattr(model, "trunk", model).layers:
+            for name, param in layer.parameters().items():
+                digest.update(name.encode())
+                digest.update(str(param.dtype).encode())
+                digest.update(param.tobytes())
+        assert digest.hexdigest() == expected
+
+    def test_deferred_weights_survive_pickling(self):
+        # Pickled before any weight is read, the copy still draws the stream.
+        model = build_model(2, compact=True)
+        restored = pickle.loads(pickle.dumps(model))
+        for layer, copied in zip(model.layers, restored.layers):
+            for name, param in layer.parameters().items():
+                np.testing.assert_array_equal(copied.parameters()[name], param)
+        with pytest.raises(AttributeError):
+            model.layers[1].weight  # a ReLU has no kernel to draw
 
     def test_invalid_model_index_rejected(self):
         with pytest.raises(ValueError):
