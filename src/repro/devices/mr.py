@@ -144,9 +144,7 @@ class MicroringResonator:
         """
         wavelength = np.asarray(wavelength_nm, dtype=float)
         detuning = self._detuning_to_nearest_resonance(wavelength)
-        half_width = self.fwhm_nm / 2.0
-        lorentzian = 1.0 / (1.0 + np.square(detuning / half_width))
-        transmission = 1.0 - (1.0 - self.min_transmission) * lorentzian
+        transmission = self.transmission_at_detuning(detuning)
         if np.isscalar(wavelength_nm):
             return float(transmission)
         return transmission
@@ -265,13 +263,16 @@ class MicroringResonator:
         target = np.asarray(target_transmission, dtype=float)
         drift = np.asarray(drift_nm, dtype=float)
         nominal_detuning = self.detuning_for_transmission(target)
-        actual_detuning = np.asarray(nominal_detuning) + drift
-        half_width = self.fwhm_nm / 2.0
-        lorentzian = 1.0 / (1.0 + np.square(actual_detuning / half_width))
-        realised = 1.0 - (1.0 - self.min_transmission) * lorentzian
+        realised = self.transmission_at_detuning(np.asarray(nominal_detuning) + drift)
         if target.ndim == 0 and drift.ndim == 0:
             return float(realised)
         return realised
+
+    def transmission_at_detuning(self, detuning_nm: np.ndarray) -> np.ndarray:
+        """Through-port Lorentzian transmission at a signed detuning (nm) from resonance."""
+        half_width = self.fwhm_nm / 2.0
+        lorentzian = 1.0 / (1.0 + np.square(detuning_nm / half_width))
+        return 1.0 - (1.0 - self.min_transmission) * lorentzian
 
     def transmission_error_from_drift(
         self, target_transmission, residual_drift_nm

@@ -101,6 +101,22 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return active_backend().matmul(a, b, out=out)
 
 
+def max_pool_tiled(x: np.ndarray, pool_size: int) -> np.ndarray:
+    """Value-only max pooling over ``pool_size`` windows that tile ``(..., H, W)``.
+
+    One ``np.maximum`` per strided window tap into one output buffer, so any
+    leading axes (an ``(E, N, C, H, W)`` member stack) pool in one pass.  A
+    window holding a NaN pools to NaN; where a window's maximum is a tie
+    between -0.0 and +0.0, either zero may come back.
+    """
+    ps = pool_size
+    taps = [x[..., dy::ps, dx::ps] for dy in range(ps) for dx in range(ps)]
+    out = taps[0].copy()
+    for tap in taps[1:]:
+        np.maximum(out, tap, out=out)
+    return out
+
+
 # --------------------------------------------------------------------------- #
 # Ensemble-vectorized kernels
 # --------------------------------------------------------------------------- #

@@ -463,7 +463,7 @@ class _Pool2D(Layer):
         out_w = F.conv_output_size(w, self.pool_size, self.stride, 0)
         return (c, out_h, out_w)
 
-    def _non_overlapping(self, h: int, w: int) -> bool:
+    def tiles(self, h: int, w: int) -> bool:
         """Whether the pooling windows tile the input exactly (no overlap).
 
         Every model in the paper's zoo pools with ``stride == pool_size`` on
@@ -480,7 +480,7 @@ class _Pool2D(Layer):
         out_h = F.conv_output_size(h, self.pool_size, self.stride, 0)
         out_w = F.conv_output_size(w, self.pool_size, self.stride, 0)
         ps = self.pool_size
-        if self._non_overlapping(h, w):
+        if self.tiles(h, w):
             # Window taps land in the same (row-major y, x) column order the
             # im2col lowering produces, so downstream argmax tie-breaks and
             # mean reduction orders are unchanged.
@@ -498,7 +498,7 @@ class _Pool2D(Layer):
         """Fold per-window gradients back onto the input grid."""
         n, c, h, w = input_shape
         ps = self.pool_size
-        if self._non_overlapping(h, w):
+        if self.tiles(h, w):
             return (
                 grad_cols.reshape(n, c, out_h, out_w, ps, ps)
                 .transpose(0, 1, 2, 4, 3, 5)
@@ -514,6 +514,11 @@ class MaxPool2D(_Pool2D):
     kind = "pool"
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
+        # Only backward needs the argmax: inference over tiling windows takes
+        # the value-only kernel, on any (..., H, W) input.
+        if not self.training and self.tiles(*inputs.shape[-2:]):
+            self._cache = None
+            return F.max_pool_tiled(inputs, self.pool_size)
         n, c, h, w = inputs.shape
         cols, out_h, out_w = self._patches(inputs)
         argmax = np.argmax(cols, axis=1)

@@ -244,17 +244,18 @@ def _recompose_stacked(
 
 
 def _drifted_magnitudes(
-    mr: MicroringResonator, magnitudes: np.ndarray, drift_nm: np.ndarray
+    mr: MicroringResonator, magnitudes: np.ndarray, nominal_nm: np.ndarray, drift_nm: np.ndarray
 ) -> np.ndarray:
     """Magnitudes moved by the transmission change a resonance drift causes.
 
-    The change is the drifted minus the zero-drift realised transmission,
-    clipped to [0, 1] with the magnitudes; it is accumulated in one buffer,
-    since ensemble stacks of these arrays set the peak memory of a
-    Monte-Carlo run.
+    The change is the Lorentzian transmission at ``nominal_nm + drift_nm``
+    minus the zero-drift one at ``nominal_nm`` (the caller's one
+    ``mr.detuning_for_transmission(magnitudes)``), clipped to [0, 1] with the
+    magnitudes; it is accumulated in one buffer, since ensemble stacks of
+    these arrays set the peak memory of a Monte-Carlo run.
     """
-    perturbed = np.asarray(mr.realised_transmission(magnitudes, drift_nm))
-    perturbed -= mr.realised_transmission(magnitudes, 0.0)
+    perturbed = mr.transmission_at_detuning(nominal_nm + drift_nm)
+    perturbed -= mr.transmission_at_detuning(nominal_nm)
     perturbed += magnitudes
     return np.clip(perturbed, 0.0, 1.0, out=perturbed)
 
@@ -417,7 +418,8 @@ class FPVDriftChannel(_EnsembleChannelMixin):
                 bank_correlation=self.bank_correlation,
             )
         mr = MicroringResonator(design=self.design)
-        perturbed = _drifted_magnitudes(mr, magnitudes, drifts)
+        nominal = mr.detuning_for_transmission(magnitudes)
+        perturbed = _drifted_magnitudes(mr, magnitudes, nominal, drifts)
         return _recompose_stacked(stacked, perturbed, max_abs, zero)
 
     def describe(self) -> str:
@@ -540,9 +542,9 @@ class ThermalCrosstalkChannel(_EnsembleChannelMixin):
         coupling = self.model.crosstalk_matrix(self.mrs_per_bank, self.pitch_um)
         off_diagonal = coupling - np.eye(self.mrs_per_bank)
         banks = _to_banks_stacked(magnitudes, self.mrs_per_bank)
-        detunings = np.asarray(self.mr.detuning_for_transmission(banks))
+        detunings = self.mr.detuning_for_transmission(banks)
         leaked_nm = self.coupling_scale * (detunings @ off_diagonal)
-        perturbed = _drifted_magnitudes(self.mr, banks, leaked_nm)
+        perturbed = _drifted_magnitudes(self.mr, banks, detunings, leaked_nm)
         n_rows, n = magnitudes.shape
         unbanked = perturbed.reshape(n_rows, -1)[:, :n]
         return _recompose_stacked(stacked, unbanked, max_abs, zero)

@@ -50,7 +50,7 @@ from collections.abc import Iterable, Sequence as SequenceABC
 from functools import partial
 
 from repro.nn.backend import resolve_precision
-from repro.nn.layers import BatchNorm, Conv2D, Dropout, Flatten, ReLU, Sigmoid, Tanh
+from repro.nn.layers import BatchNorm, Conv2D, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
 from repro.nn.model import Sequential
 from repro.nn.quantization import capture_parameters, quantize_array_stack
 from repro.sim.noise import (
@@ -101,6 +101,14 @@ def _stack_residual_drift(stack: NoiseStack) -> float:
         for channel in stack
         if isinstance(channel, ResidualDriftChannel)
     )
+
+
+def _input_rows(inputs) -> np.ndarray:
+    """``inputs`` as an array, or ``ValueError`` when it has no rows to evaluate."""
+    inputs = np.asarray(inputs)
+    if inputs.ndim == 0 or inputs.shape[0] == 0:
+        raise ValueError(f"inputs is empty (shape {inputs.shape}): no rows to evaluate")
+    return inputs
 
 
 def _seed_tuple(seeds, *, generators: bool) -> tuple:
@@ -161,11 +169,12 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
       and shared across that resolution's members; each resolution lowers
       the batch itself (no merged lowering across resolutions), and its
       cached prefix is freed after its last member chunk;
-    * non-parametric layers run stack-wise where that is free (elementwise
-      activations apply to the whole ``(E, N, ...)`` stack in one ufunc
-      pass; flatten is a reshape) and per member at batch size where a
-      merged mega-batch measured cache-hostile (pooling and batch-norm
-      gathers), each per-member call being the exact scalar forward.
+    * non-parametric layers run on the whole ``(E, N, ...)`` stack where
+      their inference forward is shape-agnostic (elementwise activations in
+      one ufunc pass, max pooling over tiling windows in one value-only
+      pass, flatten as a reshape) and per member at batch size otherwise
+      (batch norm, average pooling, windows that do not tile), each
+      per-member call being the exact scalar forward.
 
     At ``precision="float64"`` (the default) every member's logits and
     accuracy are elementwise identical to running that member alone: its
@@ -384,26 +393,18 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
             weight_stack = layer_stacks.get(index)
             if weight_stack is None:
                 if stacked:
-                    if isinstance(layer, _ELEMENTWISE_LAYERS):
-                        # Shape-agnostic layers run on the (E, N, ...) stack
-                        # directly (one ufunc pass for all members).
+                    if isinstance(layer, _ELEMENTWISE_LAYERS) or (
+                        isinstance(layer, MaxPool2D) and layer.tiles(*x.shape[-2:])
+                    ):
+                        # Shape-agnostic in inference mode: one pass over the
+                        # whole (E, N, ...) stack.
                         x = layer.forward(x)
                     elif isinstance(layer, Flatten):
                         x = x.reshape(x.shape[0], x.shape[1], -1)
                     else:
-                        # Pooling / norm layers run per member at batch size:
-                        # their im2col-style gathers thrash the cache on a
-                        # merged (E*N, ...) mega-batch, and the per-member
-                        # call is the exact scalar forward (bit-identical).
-                        first = layer.forward(x[0])
-                        if x.shape[0] == 1:
-                            x = first[np.newaxis]
-                        else:
-                            out = np.empty((x.shape[0], *first.shape), dtype=first.dtype)
-                            out[0] = first
-                            for member in range(1, x.shape[0]):
-                                out[member] = layer.forward(x[member])
-                            x = out
+                        # Batch norm, average pooling and windows that do not
+                        # tile take (N, C, H, W): run them per member.
+                        x = np.stack([layer.forward(member) for member in x])
                     x = self._cast(self._quantize_stacked(x, bits))
                 else:
                     key = ("act", index, bits)
@@ -442,9 +443,9 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         (see the class docstring) elementwise at float64.
         """
         check_positive_int("batch_size", batch_size)
+        inputs = _input_rows(inputs)
         layer_stacks = self.perturbed_weight_stacks(model)
         model.eval()
-        inputs = np.asarray(inputs)
         chunks = self._member_chunks()
         chunk_bits = [self.activation_bits[members.start] for members in chunks]
         last_chunk = {bits: position for position, bits in enumerate(chunk_bits)}
@@ -663,7 +664,7 @@ def accuracy_vs_residual_drift(
     identical to evaluating each drift point alone.  The drift-independent
     ideal accuracy is likewise computed once and shared across all points.
     """
-    ideal = ideal_model_accuracy(model, inputs, labels, batch_size=64)
+    ideal = ideal_model_accuracy(model, _input_rows(inputs), labels, batch_size=64)
     stacks = [default_noise_stack(resolution_bits, float(drift)) for drift in drifts_nm]
     records = evaluate_ensemble(
         model,
@@ -811,6 +812,7 @@ def monte_carlo_accuracy(
         if n_workers < 0:
             raise ValueError(f"n_workers must be >= 0, got {n_workers}")
     seed_list = _seed_tuple(seeds, generators=False)
+    inputs = _input_rows(inputs)
     policy = resolve_precision(precision)
     ideal = (
         float(ideal_accuracy)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from noise_channel_cases import CHANNELS as NAMED_CHANNELS
 from noise_channel_cases import JitterChannel, sequential_logits
 
-from repro.nn.layers import AvgPool2D, BatchNorm, Conv2D, Dense, Dropout, Flatten, ReLU
+from repro.nn.layers import AvgPool2D, BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU
 from repro.nn.model import Sequential
 from repro.nn.quantization import quantize_array, quantize_array_stack
 from repro.sim import (
@@ -292,6 +292,29 @@ class TestEnsembleEngineIdentity:
         reference = _sequential_logits(model, inputs, stack, seeds, 6, batch_size=4)
         np.testing.assert_array_equal(fused, reference)
 
+    @pytest.mark.parametrize(
+        ("pool", "height", "pool_ndim"),
+        [(MaxPool2D(2), 10, 5), (MaxPool2D(2), 9, 4), (MaxPool2D(3, stride=2), 10, 4)],
+    )
+    def test_only_tiling_pools_run_on_the_member_stack(self, monkeypatch, rng, pool, height, pool_ndim):
+        """Tiling windows pool the whole (E, N, ...) stack; others pool per member."""
+        out_h, out_w = ((size - 2 - pool.pool_size) // pool.stride + 1 for size in (height, 10))
+        model = Sequential(
+            [Conv2D(1, 2, kernel_size=3, rng=rng), ReLU(), pool, Flatten(), Dense(2 * out_h * out_w, 5, rng=rng)],
+            input_shape=(1, height, 10),
+            name="pooled",
+        )
+        inputs = rng.normal(size=(6, 1, height, 10))
+        stack = NoiseStack([QuantizationChannel(bits=8), FPVDriftChannel()])
+        seen = []
+        forward = pool.forward
+        monkeypatch.setattr(pool, "forward", lambda x: seen.append(x.ndim) or forward(x))
+        fused = EnsembleInferenceEngine(stack, [1, 2, 3], activation_bits=8).predict(model, inputs)
+        assert set(seen) == {pool_ndim}
+        monkeypatch.undo()
+        reference = _sequential_logits(model, inputs, stack, [1, 2, 3], 8)
+        np.testing.assert_array_equal(fused, reference)
+
 
 class TestGeneratorSeeds:
     """``seeds`` members are integers (replayed) or Generators (continued)."""
@@ -483,6 +506,29 @@ class TestEngineValidation:
             EnsembleInferenceEngine(fpv_stack, seeds=[])
         with pytest.raises(ValueError):
             EnsembleInferenceEngine(fpv_stack, seeds=2, precision=np.int32)
+
+    def test_empty_inputs_raise_before_perturbing(self, monkeypatch, trained_compact_lenet, fpv_stack):
+        model, test_x, test_y = trained_compact_lenet
+        empty_x, empty_y = test_x[:0], test_y[:0]
+        perturbed = []
+        monkeypatch.setattr(
+            EnsembleInferenceEngine,
+            "perturbed_weight_stacks",
+            lambda self, model: perturbed.append(model) or {},
+        )
+        engine = EnsembleInferenceEngine(fpv_stack, seeds=2, activation_bits=8)
+        calls = [
+            lambda: engine.predict(model, empty_x),
+            lambda: evaluate_ensemble(model, empty_x, empty_y, fpv_stack, seeds=2),
+            lambda: monte_carlo_accuracy(model, empty_x, empty_y, fpv_stack, seeds=2),
+            lambda: monte_carlo_accuracy(
+                model, empty_x, empty_y, fpv_stack, seeds=2, ideal_accuracy=0.5
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="inputs is empty"):
+                call()
+        assert perturbed == []
 
     def test_layer_ensemble_shape_validation(self, rng):
         dense = Dense(4, 3, rng=rng)

@@ -177,6 +177,36 @@ class TestPooling:
         grad = pool.backward(np.ones((1, 1, 2, 2)))
         np.testing.assert_allclose(grad, 0.25)
 
+    @pytest.mark.parametrize("pool_size", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stacked_eval_pool_matches_per_member_training_pool(self, rng, pool_size, dtype):
+        """One value-only pass over an (E, N, C, H, W) stack == the argmax path per member."""
+        shape = (3, 2, 4, 3 * pool_size, 2 * pool_size)
+        # Small integers give many ties and exact zeros; some windows hold a NaN.
+        stack = rng.integers(-2, 3, size=shape).astype(dtype)
+        stack[rng.random(shape) < 0.05] = np.nan
+        training = MaxPool2D(pool_size)
+        expected = np.stack([training.forward(member) for member in stack])
+        inference = MaxPool2D(pool_size)
+        inference.eval()
+        pooled = inference.forward(stack)
+        assert pooled.dtype == dtype and pooled.shape == expected.shape
+        np.testing.assert_array_equal(pooled, expected)  # NaNs compared by position
+        windows = stack.reshape(*shape[:3], 3, pool_size, 2, pool_size)
+        np.testing.assert_array_equal(np.isnan(pooled), np.isnan(windows).any(axis=(4, 6)))
+
+    @pytest.mark.parametrize(
+        ("pool", "height"), [(MaxPool2D(2), 6), (MaxPool2D(2), 7), (MaxPool2D(3, stride=2), 9)]
+    )
+    def test_eval_and_training_forward_agree(self, rng, pool, height):
+        x = rng.normal(size=(2, 3, height, 8))
+        pool.train()
+        trained = pool.forward(x)
+        pool.eval()
+        evaluated = pool.forward(x)
+        assert evaluated.tobytes() == trained.tobytes()
+        assert pool.tiles(height, 8) == (pool.stride == pool.pool_size and height % 2 == 0)
+
 
 class TestActivationsAndRegularizers:
     @pytest.mark.parametrize("layer_cls", [ReLU, Sigmoid, Tanh])

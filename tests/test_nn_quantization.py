@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.nn import (
     UniformQuantizer,
@@ -17,6 +21,7 @@ from repro.nn import (
     sign_mnist_synthetic,
     swapped_parameters,
 )
+from repro.nn.quantization import quantize_array_stack
 from repro.sim import NoiseStack, QuantizationChannel, evaluate_ensemble
 
 
@@ -179,3 +184,145 @@ class TestQuantizationAwareFinetune:
         assert digest.hexdigest() == (
             "2c0e520dbddbbdbe7cbe613a33d12b5e97fb8c728fbc5f73ace6b0f7d27177a6"
         )
+
+
+# --------------------------------------------------------------------------- #
+# Byte identity against the clip-then-snap quantizer the in-place kernel replaced
+# (copied verbatim below, docstrings dropped)
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class RefUniformQuantizer:
+    bits: int
+    max_abs: float = 1.0
+
+    @property
+    def n_levels(self) -> int:
+        return 2**self.bits
+
+    @property
+    def step(self) -> float:
+        return 2.0 * self.max_abs / (self.n_levels - 1) if self.n_levels > 1 else 2.0 * self.max_abs
+
+    def quantize(self, values: np.ndarray) -> np.ndarray:
+        values = np.asarray(values)
+        if not np.issubdtype(values.dtype, np.floating):
+            values = values.astype(float)
+        clipped = np.clip(values, -self.max_abs, self.max_abs)
+        if self.n_levels == 2:
+            bound = values.dtype.type(self.max_abs)
+            return np.where(clipped >= 0.0, bound, -bound)
+        if values.dtype.type(self.step) == 0.0:
+            return clipped
+        level_index = np.round((clipped + self.max_abs) / self.step)
+        return -self.max_abs + level_index * self.step
+
+
+def ref_quantize_array(values, bits, max_abs=None):
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.floating):
+        values = values.astype(float)
+    if max_abs is None:
+        max_abs = float(np.max(np.abs(values))) if values.size else 1.0
+        if max_abs == 0.0:
+            return values.copy()
+    return RefUniformQuantizer(bits=bits, max_abs=max_abs).quantize(values)
+
+
+def ref_quantize_array_stack(values, bits):
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.floating):
+        values = values.astype(float)
+    if values.ndim == 0:
+        raise ValueError("quantize_array_stack expects a stacked (E, ...) array")
+    if values.size == 0:
+        return values.copy()
+    if values.shape[0] == 1:
+        quantized = ref_quantize_array(values[0], bits)[np.newaxis]
+        return quantized.astype(values.dtype, copy=False)
+    out = np.empty(values.shape, dtype=values.dtype)
+    for member in range(values.shape[0]):
+        out[member] = ref_quantize_array(values[member], bits)
+    return out
+
+
+BITS = (1, 2, 3, 8, 12, 16)
+
+
+def assert_same_bytes(actual, expected):
+    """Equal dtype, shape and bytes; NaNs compared by position only."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    assert np.where(nan, 0, actual).tobytes() == np.where(nan, 0, expected).tobytes()
+
+
+def _special_rows(dtype) -> np.ndarray:
+    """An (E, 4, 5) stack: ordinary rows, an all-zero row (signed zeros), a
+    subnormal-range row (the step underflows), and NaN / +inf / -inf rows."""
+    rng = np.random.default_rng(7)
+    tiny = np.finfo(dtype).smallest_subnormal
+    rows = [
+        rng.standard_normal((4, 5)),
+        np.maximum(rng.standard_normal((4, 5)), 0.0) * 1e-3,
+        np.where(rng.random((4, 5)) < 0.5, 0.0, -0.0),
+        rng.integers(-3, 4, (4, 5)) * float(tiny),
+        np.where(rng.random((4, 5)) < 0.2, np.nan, rng.standard_normal((4, 5))),
+        np.where(rng.random((4, 5)) < 0.2, np.inf, rng.standard_normal((4, 5))),
+        np.where(rng.random((4, 5)) < 0.2, -np.inf, rng.standard_normal((4, 5))),
+    ]
+    return np.stack(rows).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("bits", BITS)
+class TestQuantizerByteIdentity:
+    def test_stack_and_members(self, dtype, bits):
+        stack = _special_rows(dtype)
+        with np.errstate(invalid="ignore"):
+            expected = ref_quantize_array_stack(stack, bits)
+            assert_same_bytes(quantize_array_stack(stack, bits), expected)
+            for member in range(stack.shape[0]):
+                assert_same_bytes(quantize_array(stack[member], bits), expected[member])
+                assert_same_bytes(
+                    quantize_array_stack(stack[member : member + 1], bits),
+                    expected[member : member + 1],
+                )
+
+    @pytest.mark.parametrize("max_abs", [0.25, 1.0, 3.0, 5e-324])
+    def test_explicit_range_clips(self, dtype, bits, max_abs):
+        values = _special_rows(dtype)[:2] * 4.0
+        with np.errstate(invalid="ignore"):
+            assert_same_bytes(
+                UniformQuantizer(bits=bits, max_abs=max_abs).quantize(values),
+                RefUniformQuantizer(bits=bits, max_abs=max_abs).quantize(values),
+            )
+            assert_same_bytes(
+                quantize_array(values, bits, max_abs=max_abs),
+                ref_quantize_array(values, bits, max_abs=max_abs),
+            )
+
+    def test_empty_and_integer_inputs(self, dtype, bits):
+        for shape in [(0,), (0, 3), (3, 0), (2, 0, 4)]:
+            empty = np.zeros(shape, dtype)
+            assert_same_bytes(quantize_array_stack(empty, bits), ref_quantize_array_stack(empty, bits))
+            assert_same_bytes(quantize_array(empty, bits), ref_quantize_array(empty, bits))
+        integers = np.arange(-6, 6).reshape(3, 4)
+        assert_same_bytes(quantize_array_stack(integers, bits), ref_quantize_array_stack(integers, bits))
+        assert_same_bytes(quantize_array(integers, bits), ref_quantize_array(integers, bits))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=hnp.arrays(
+        dtype=st.sampled_from([np.float64, np.float32]),
+        shape=hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=5),
+        elements={"allow_nan": True, "allow_infinity": True, "allow_subnormal": True},
+    ),
+    bits=st.sampled_from(BITS),
+)
+def test_quantizer_byte_identity_on_drawn_shapes(values, bits):
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = ref_quantize_array_stack(values, bits)
+        assert_same_bytes(quantize_array_stack(values, bits), expected)
+        assert_same_bytes(quantize_array(values, bits), ref_quantize_array(values, bits))

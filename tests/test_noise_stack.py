@@ -198,6 +198,31 @@ class TestChannelBehaviour:
         stack.apply(weights, np.random.default_rng(0))
         np.testing.assert_array_equal(weights, original)
 
+    @staticmethod
+    def _count_detuning_calls(monkeypatch) -> list:
+        shapes = []
+        inverse = MicroringResonator.detuning_for_transmission
+
+        def counted(self, target):
+            shapes.append(np.shape(target))
+            return inverse(self, target)
+
+        monkeypatch.setattr(MicroringResonator, "detuning_for_transmission", counted)
+        return shapes
+
+    def test_thermal_channel_inverts_the_lorentzian_once(self, monkeypatch, rng):
+        shapes = self._count_detuning_calls(monkeypatch)
+        rngs = [np.random.default_rng(seed) for seed in range(4)]
+        ThermalCrosstalkChannel().apply_stacked(rng.normal(size=(4, 6, 5)), rngs)
+        assert shapes == [(4, 2, 15)]
+
+    def test_fpv_channel_inverts_the_shared_row_once(self, monkeypatch, rng):
+        shapes = self._count_detuning_calls(monkeypatch)
+        rngs = [np.random.default_rng(seed) for seed in range(4)]
+        out = FPVDriftChannel().apply_stacked(rng.normal(size=(1, 6, 5)), rngs)
+        assert out.shape == (4, 6, 5)
+        assert shapes == [(1, 30)]
+
     def test_stack_composition_and_describe(self):
         stack = NoiseStack([QuantizationChannel(8)])
         longer = stack.with_channel(FPVDriftChannel())
