@@ -99,7 +99,6 @@ from repro.obs import LoopProfiler, MetricsRegistry, Observability, Tracer
 from repro.serve import (
     BatchPolicy,
     BurstyTraffic,
-    DiurnalTraffic,
     FaultModel,
     PoissonTraffic,
     RetryPolicy,
@@ -126,7 +125,6 @@ __version__ = "1.5.0"
 __all__ = [
     "BatchPolicy",
     "BurstyTraffic",
-    "DiurnalTraffic",
     "EnsembleInferenceEngine",
     "Experiment",
     "FPVDriftChannel",

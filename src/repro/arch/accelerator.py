@@ -237,16 +237,6 @@ class CrossLightAccelerator(PhotonicAccelerator):
     # Structure
     # ------------------------------------------------------------------ #
     @property
-    def conv_unit(self) -> VDPUnit:
-        """Prototype CONV-layer VDP unit."""
-        return self._conv_unit
-
-    @property
-    def fc_unit(self) -> VDPUnit:
-        """Prototype FC-layer VDP unit."""
-        return self._fc_unit
-
-    @property
     def total_mrs(self) -> int:
         """Total microring count across both unit arrays."""
         return (

@@ -25,6 +25,7 @@ from repro.nn.functional import conv_output_size, im2col
 from repro.utils.validation import check_positive_int
 
 
+# Kept as a test oracle: no simulator path calls it.
 def decompose_vector(vector: np.ndarray, chunk_size: int) -> list[np.ndarray]:
     """Split a 1-D vector into chunks of at most ``chunk_size`` elements.
 
@@ -38,6 +39,7 @@ def decompose_vector(vector: np.ndarray, chunk_size: int) -> list[np.ndarray]:
     return [vector[i : i + chunk_size] for i in range(0, vector.size, chunk_size)]
 
 
+# Kept as a test oracle: no simulator path calls it.
 def dot_product_partial_sums(
     weights: np.ndarray, activations: np.ndarray, chunk_size: int
 ) -> tuple[np.ndarray, float]:
@@ -64,6 +66,7 @@ def dot_product_partial_sums(
     return partial_sums, float(partial_sums.sum())
 
 
+# Kept as a test oracle: no simulator path calls it.
 def conv2d_reference(
     images: np.ndarray, kernels: np.ndarray, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
@@ -90,6 +93,7 @@ def conv2d_reference(
     return out.reshape(n, out_h, out_w, f).transpose(0, 3, 1, 2)
 
 
+# Kept as a test oracle: no simulator path calls it.
 def conv2d_via_vdp(
     images: np.ndarray,
     kernels: np.ndarray,
@@ -126,6 +130,7 @@ def conv2d_via_vdp(
     return output.reshape(n, out_h, out_w, f).transpose(0, 3, 1, 2)
 
 
+# Kept as a test oracle: no simulator path calls it.
 def matvec_via_vdp(
     matrix: np.ndarray, vector: np.ndarray, chunk_size: int
 ) -> np.ndarray:

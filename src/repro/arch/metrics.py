@@ -106,13 +106,6 @@ class AggregateReport:
         """Accelerator power (identical across model reports)."""
         return self.reports[0].power_w
 
-    def report_for(self, model_name: str) -> InferenceReport:
-        """The per-model report with the given model name."""
-        for report in self.reports:
-            if report.model == model_name:
-                return report
-        raise KeyError(f"no report for model {model_name!r}")
-
 
 def aggregate(reports: Sequence[InferenceReport]) -> AggregateReport:
     """Aggregate per-model reports belonging to one accelerator."""

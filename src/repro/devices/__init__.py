@@ -12,13 +12,12 @@ This subpackage implements the device layer of the CrossLight stack:
 * :mod:`repro.devices.photodetector` -- PDs, balanced PDs, TIAs, receivers.
 * :mod:`repro.devices.modulator` -- MZM activation modulators and VCSELs.
 * :mod:`repro.devices.microdisk` -- microdisks (HolyLight baseline substrate).
-* :mod:`repro.devices.transceiver` -- ADC/DAC converter arrays.
+* :mod:`repro.devices.transceiver` -- ADC/DAC converter channels.
 """
 
 from repro.devices.constants import (
     CONVENTIONAL_MR,
     DEFAULT_LOSSES,
-    DEFAULT_TRANSCEIVER,
     EO_TUNING,
     LASER_WALL_PLUG_EFFICIENCY,
     OPTIMIZED_MR,
@@ -31,7 +30,6 @@ from repro.devices.constants import (
     ActiveDeviceParameters,
     MRDesignParameters,
     PhotonicLosses,
-    TransceiverParameters,
     TuningParameters,
 )
 from repro.devices.laser import (
@@ -46,11 +44,9 @@ from repro.devices.mr_bank import MRBank
 from repro.devices.photodetector import (
     BalancedPhotodetector,
     Photodetector,
-    ReceiverChain,
     TransimpedanceAmplifier,
 )
 from repro.devices.transceiver import (
-    ConverterArray,
     DataConverter,
     adc_channel,
     dac_channel,
@@ -62,10 +58,8 @@ __all__ = [
     "BalancedPhotodetector",
     "Combiner",
     "CONVENTIONAL_MR",
-    "ConverterArray",
     "DataConverter",
     "DEFAULT_LOSSES",
-    "DEFAULT_TRANSCEIVER",
     "EO_TUNING",
     "LASER_WALL_PLUG_EFFICIENCY",
     "LaserSource",
@@ -79,12 +73,10 @@ __all__ = [
     "PHOTODETECTOR",
     "Photodetector",
     "PhotonicLosses",
-    "ReceiverChain",
     "ROOM_TEMPERATURE_K",
     "SplitterTree",
     "TIA",
     "TO_TUNING",
-    "TransceiverParameters",
     "TransimpedanceAmplifier",
     "TuningParameters",
     "VCSEL",

@@ -123,26 +123,6 @@ DEFAULT_LOSSES = PhotonicLosses()
 
 
 @dataclass(frozen=True)
-class TransceiverParameters:
-    """ADC/DAC transceiver parameters from the 1-to-56 Gb/s design in [37]."""
-
-    name: str = "PAM-4 ADC/DAC transceiver"
-    max_rate_gbps: float = 56.0
-    power_w: float = 250e-3
-    #: Effective number of parallel channels the 250 mW figure covers.
-    channels: int = 1
-
-    def power_per_channel_w(self) -> float:
-        """Power drawn per transceiver channel in watts."""
-        return self.power_w / self.channels
-
-
-#: Default transceiver used for DAC (weight/activation imprint) and ADC
-#: (photodetector read-out) arrays.
-DEFAULT_TRANSCEIVER = TransceiverParameters()
-
-
-@dataclass(frozen=True)
 class MRDesignParameters:
     """Microring resonator design point (Section IV.A / V.B).
 

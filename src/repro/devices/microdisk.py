@@ -73,7 +73,3 @@ class Microdisk:
     def ganged_loss_db(self, target_bits: int) -> float:
         """Total insertion loss of the gang of disks implementing one weight."""
         return self.devices_for_resolution(target_bits) * self.insertion_loss_db
-
-    def ganged_footprint_um2(self, target_bits: int) -> float:
-        """Total footprint of the gang of disks implementing one weight."""
-        return self.devices_for_resolution(target_bits) * self.footprint_um2

@@ -310,10 +310,6 @@ class MicroringResonator:
         diameter = 2.0 * self.design.radius_um
         return diameter * diameter
 
-    def effective_index(self) -> float:
-        """Nominal effective index of the ring waveguide mode."""
-        return SILICON_EFFECTIVE_INDEX
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MicroringResonator(design={self.design.name!r}, "

@@ -24,7 +24,6 @@ from repro.devices.constants import (
     TIA,
     ActiveDeviceParameters,
 )
-from repro.utils.units import dbm_to_watt
 from repro.utils.validation import check_in_range
 
 
@@ -59,11 +58,6 @@ class Photodetector:
     def power_w(self) -> float:
         """Static electrical power of the detector in watts."""
         return self.parameters.power_w
-
-    @property
-    def sensitivity_watt(self) -> float:
-        """Sensitivity expressed in watts."""
-        return dbm_to_watt(self.sensitivity_dbm)
 
     def photocurrent_a(self, optical_powers_w) -> float:
         """Photocurrent produced by a set of incident optical powers.
@@ -135,27 +129,3 @@ class TransimpedanceAmplifier:
         """Output voltage for a given input photocurrent."""
         return self.gain_ohm * float(current_a)
 
-
-@dataclass(frozen=True)
-class ReceiverChain:
-    """Balanced photodetector followed by a TIA -- one VDP arm's receiver."""
-
-    detector: BalancedPhotodetector = field(default_factory=BalancedPhotodetector)
-    tia: TransimpedanceAmplifier = field(default_factory=TransimpedanceAmplifier)
-
-    @property
-    def latency_s(self) -> float:
-        """End-to-end receiver latency (detector + TIA)."""
-        return self.detector.latency_s + self.tia.latency_s
-
-    @property
-    def power_w(self) -> float:
-        """Total receiver power (both diodes + TIA)."""
-        return self.detector.power_w + self.tia.power_w
-
-    def readout_voltage_v(self, positive_powers_w, negative_powers_w) -> float:
-        """Voltage presented to the ADC for a signed optical partial sum."""
-        current = self.detector.differential_current_a(
-            positive_powers_w, negative_powers_w
-        )
-        return self.tia.output_voltage_v(current)

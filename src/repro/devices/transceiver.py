@@ -1,4 +1,4 @@
-"""ADC/DAC transceiver arrays interfacing the electronic and photonic domains.
+"""ADC/DAC converter channels interfacing the electronic and photonic domains.
 
 CrossLight's electronic control plane uses DAC arrays to convert buffered
 digital weights/activations into analog MR tuning signals, and ADC arrays to
@@ -13,9 +13,8 @@ cycle time of the architecture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.devices.constants import DEFAULT_TRANSCEIVER, TransceiverParameters
 from repro.utils.validation import check_positive, check_positive_int
 
 
@@ -50,11 +49,6 @@ class DataConverter:
         """Latency of one conversion (one sample period)."""
         return 1.0 / (self.sample_rate_gsps * 1e9)
 
-    @property
-    def throughput_bits_per_s(self) -> float:
-        """Digital throughput of the channel in bits per second."""
-        return self.resolution_bits * self.sample_rate_gsps * 1e9
-
     def time_for_samples_s(self, n_samples: int) -> float:
         """Time to convert ``n_samples`` sequential samples."""
         check_positive_int("n_samples", n_samples)
@@ -70,39 +64,3 @@ def adc_channel(resolution_bits: int = 16) -> DataConverter:
     """An ADC channel matching the transceiver of [37] at a given resolution."""
     return DataConverter(kind="ADC", resolution_bits=resolution_bits)
 
-
-@dataclass(frozen=True)
-class ConverterArray:
-    """An array of identical ADC or DAC channels operating in parallel.
-
-    A VDP unit needs one DAC channel per MR being tuned concurrently and one
-    ADC channel per photodetector being read out concurrently; the array
-    abstraction keeps the counting in one place for the power model.
-    """
-
-    channel: DataConverter
-    n_channels: int
-    transceiver: TransceiverParameters = field(default_factory=lambda: DEFAULT_TRANSCEIVER)
-
-    def __post_init__(self) -> None:
-        check_positive_int("n_channels", self.n_channels)
-
-    @property
-    def total_power_w(self) -> float:
-        """Aggregate power of the converter array."""
-        return self.channel.power_w * self.n_channels
-
-    @property
-    def conversion_latency_s(self) -> float:
-        """Latency of one parallel conversion across the array."""
-        return self.channel.conversion_latency_s
-
-    def time_for_vector_s(self, vector_length: int) -> float:
-        """Time to convert a vector streamed across the array's channels.
-
-        Elements beyond the channel count are serialised onto the available
-        channels in round-robin fashion.
-        """
-        check_positive_int("vector_length", vector_length)
-        passes = -(-vector_length // self.n_channels)  # ceil division
-        return passes * self.channel.conversion_latency_s

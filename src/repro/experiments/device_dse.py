@@ -53,11 +53,6 @@ def run() -> DeviceDSEResult:
     )
 
 
-def paper_drift_reduction_percent() -> float:
-    """The paper's reported reduction (7.1 nm -> 2.1 nm, ~70 %)."""
-    return drift_reduction_percent()
-
-
 def _render(result: DeviceDSEResult, max_rows: int = 12) -> str:
     """Render the exploration results as a text table."""
     rows = [

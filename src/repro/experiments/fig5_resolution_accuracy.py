@@ -73,11 +73,6 @@ class AccuracyCurve:
         """Accuracy at the highest swept resolution."""
         return self.accuracy[-1]
 
-    @property
-    def accuracy_drop_at_lowest(self) -> float:
-        """Accuracy lost between the highest and lowest swept resolution."""
-        return self.full_precision_accuracy - self.accuracy[0]
-
 
 def _classification_accuracies(
     model,

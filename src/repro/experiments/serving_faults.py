@@ -45,7 +45,6 @@ from repro.serve import (
 )
 from repro.sim.results import format_table
 from repro.sim.sweep import SweepExecutor, run_sweep
-from repro.sim.tracer import trace_model
 from repro.study import RunContext, StudyConfig, experiment
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
@@ -197,7 +196,7 @@ def crash_mid_batch_demo(
     """
     accelerator = build_accelerator(accelerator_name)
     model = build_model(model_index)
-    latency_s = accelerator.batch_latency_s(trace_model(model), max_batch)
+    latency_s = accelerator.batch_latency_s(model.workloads(), max_batch)
     report = serve_trace(
         model,
         accelerator,

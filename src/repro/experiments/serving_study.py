@@ -41,7 +41,6 @@ from repro.nn.zoo import build_model
 from repro.serve import BatchPolicy, PoissonTraffic, serve_trace
 from repro.sim.results import format_table
 from repro.sim.sweep import SweepExecutor, grid, run_sweep
-from repro.sim.tracer import trace_model
 from repro.study import RunContext, StudyConfig, experiment
 
 if TYPE_CHECKING:  # pragma: no cover - type-only
@@ -78,7 +77,7 @@ def fleet_capacity_rps(
 ) -> float:
     """Analytic service capacity: full batches back to back on every worker."""
     accelerator = build_accelerator(accelerator_name)
-    workloads = trace_model(build_model(model_index))
+    workloads = build_model(model_index).workloads()
     return (
         fleet_size * max_batch / accelerator.batch_latency_s(workloads, max_batch)
     )

@@ -44,9 +44,7 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.losses import (
-    ContrastiveLoss,
     Loss,
-    MeanSquaredError,
     SoftmaxCrossEntropy,
     accuracy,
     pair_accuracy,
@@ -80,7 +78,6 @@ __all__ = [
     "BatchNorm",
     "CIFAR10_SPEC",
     "ComputeBackend",
-    "ContrastiveLoss",
     "Conv2D",
     "Dense",
     "DatasetSpec",
@@ -93,7 +90,6 @@ __all__ = [
     "Loss",
     "MODEL_SPECS",
     "MaxPool2D",
-    "MeanSquaredError",
     "ModelSpec",
     "OMNIGLOT_SPEC",
     "Optimizer",

@@ -282,21 +282,3 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = logits - np.max(logits, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
-
-def one_hot(
-    labels: np.ndarray, num_classes: int, dtype: np.dtype | type = float
-) -> np.ndarray:
-    """One-hot encode integer class labels.
-
-    ``dtype`` selects the output precision (default float64, the historical
-    behaviour); float32 callers pass their policy dtype so the encoding does
-    not upcast downstream arithmetic.
-    """
-    labels = np.asarray(labels, dtype=int)
-    if labels.ndim != 1:
-        raise ValueError("labels must be a 1-D array of class indices")
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError("labels must lie in [0, num_classes)")
-    encoded = np.zeros((labels.size, num_classes), dtype=dtype)
-    encoded[np.arange(labels.size), labels] = 1.0
-    return encoded

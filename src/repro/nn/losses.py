@@ -1,11 +1,11 @@
 """Loss functions for training the evaluation models.
 
-Provides the losses needed by the Table-I model zoo: softmax cross-entropy
-for the three classification CNNs, mean squared error as a general-purpose
-regression loss, and the contrastive loss used to train the Siamese one-shot
-network (model 4).  Every loss returns both the scalar loss value and the
+Provides softmax cross-entropy, the loss of the three classification CNNs
+of the Table-I model zoo; it returns both the scalar loss value and the
 gradient with respect to the model output, which the
-:class:`repro.nn.model.Sequential` training loop back-propagates.
+:class:`repro.nn.model.Sequential` training loop back-propagates.  The
+Siamese model (model 4) is never trained here, only evaluated by
+:func:`pair_accuracy`.
 """
 
 from __future__ import annotations
@@ -41,47 +41,6 @@ class SoftmaxCrossEntropy(Loss):
         grad = F.softmax(predictions, axis=1)
         grad[np.arange(batch), targets] -= 1.0
         return loss, grad / batch
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error between predictions and continuous targets."""
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        targets = np.asarray(targets, dtype=float)
-        if predictions.shape != targets.shape:
-            raise ValueError("predictions and targets must have the same shape")
-        diff = predictions - targets
-        loss = float(np.mean(diff**2))
-        grad = 2.0 * diff / diff.size
-        return loss, grad
-
-
-class ContrastiveLoss(Loss):
-    """Contrastive loss for Siamese embedding networks (model 4, Omniglot).
-
-    Given the Euclidean distance ``d`` between the two embeddings of a pair
-    and a label ``y`` (1 = same class, 0 = different class), the loss is
-
-        L = y * d^2 + (1 - y) * max(margin - d, 0)^2
-
-    The loss is evaluated on a *distance vector* produced by the Siamese
-    model wrapper, so predictions here are the per-pair distances.
-    """
-
-    def __init__(self, margin: float = 1.0) -> None:
-        if margin <= 0:
-            raise ValueError("margin must be positive")
-        self.margin = margin
-
-    def __call__(self, predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        distances = np.asarray(predictions, dtype=float).reshape(-1)
-        labels = np.asarray(targets, dtype=float).reshape(-1)
-        if distances.shape != labels.shape:
-            raise ValueError("distances and labels must have matching shapes")
-        hinge = np.maximum(self.margin - distances, 0.0)
-        loss = float(np.mean(labels * distances**2 + (1.0 - labels) * hinge**2))
-        grad = (2.0 * labels * distances - 2.0 * (1.0 - labels) * hinge) / distances.size
-        return loss, grad.reshape(np.asarray(predictions).shape)
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from repro.nn.layers import Layer, LayerWorkload
 from repro.nn.losses import Loss, SoftmaxCrossEntropy, accuracy
 from repro.nn.optimizers import Adam, Optimizer
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_input_rows, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,6 @@ class TrainingHistory:
 
     losses: tuple[float, ...]
     accuracies: tuple[float, ...]
-
-    @property
-    def final_loss(self) -> float:
-        """Loss of the last epoch."""
-        return self.losses[-1]
 
     @property
     def final_accuracy(self) -> float:
@@ -99,6 +94,7 @@ class Sequential:
     def predict(self, inputs: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Inference-mode forward pass, batched to bound memory."""
         check_positive_int("batch_size", batch_size)
+        inputs = check_input_rows(inputs)
         self.eval()
         outputs = []
         for start in range(0, inputs.shape[0], batch_size):

@@ -33,7 +33,6 @@ from .metrics import (
     MetricSample,
     MetricsRegistry,
     cache_collector,
-    default_registry,
     log_buckets,
 )
 from .profiler import InstrumentedEventQueue, LoopProfiler
@@ -50,7 +49,6 @@ __all__ = [
     "Observability",
     "Tracer",
     "cache_collector",
-    "default_registry",
     "log_buckets",
 ]
 
@@ -107,12 +105,3 @@ class Observability:
         merged = dict(self.labels)
         merged.update({k: str(v) for k, v in extra.items()})
         return merged
-
-    @property
-    def any_enabled(self) -> bool:
-        """True when at least one pillar is active."""
-        return (
-            self.metrics is not None
-            or self.tracer is not None
-            or self.profiler is not None
-        )

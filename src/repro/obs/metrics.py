@@ -51,7 +51,6 @@ __all__ = [
     "MetricSample",
     "MetricsRegistry",
     "cache_collector",
-    "default_registry",
     "log_buckets",
 ]
 
@@ -115,10 +114,6 @@ class Counter(Metric):
         if amount < 0:
             raise ValueError(f"counters only increase, got inc({amount})")
         self.value += amount
-
-    def reset(self) -> None:
-        """Zero the counter (cache clears, test isolation)."""
-        self.value = 0
 
     def sample(self) -> "MetricSample":
         return MetricSample(
@@ -465,14 +460,3 @@ def cache_collector() -> list[MetricSample]:
         samples.append(MetricSample("cache.size", "gauge", labels, float(info.currsize)))
         samples.append(MetricSample("cache.maxsize", "gauge", labels, float(info.maxsize)))
     return samples
-
-
-_DEFAULT_REGISTRY: MetricsRegistry | None = None
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry (created on first use, cache-collecting)."""
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = MetricsRegistry(collectors=(cache_collector,))
-    return _DEFAULT_REGISTRY

@@ -12,9 +12,8 @@ phases; faults, retries, and sheds land as instant events.  Wall-clock
 sections (study runs, sweep chunks) go onto their own clearly-named
 processes so the two timebases never share a track.
 
-Not to be confused with :mod:`repro.sim.tracer`, which extracts *workload
-structure* (dot-product shapes) from DNN models -- this module records
-*execution timelines*.
+It records *execution timelines*; the *workload structure* (dot-product
+shapes) of a DNN model comes from ``model.workloads()``.
 
 Event phases used (the schema test pins exactly these):
 

@@ -12,7 +12,7 @@ datacenter-inference studies evaluate and the ROADMAP's
 * :mod:`repro.serve.events` -- request columns, request/batch records and
   event payloads;
 * :mod:`repro.serve.traffic` -- seeded arrival processes (steady Poisson,
-  bursty Markov-modulated, diurnal, trace replay);
+  bursty Markov-modulated, trace replay);
 * :mod:`repro.serve.batcher` -- admission queues and the dynamic
   micro-batcher (max batch size, max-wait deadline, shedding backpressure);
 * :mod:`repro.serve.workers` -- the accelerator fleet (batch latency/energy
@@ -55,7 +55,6 @@ from repro.serve.metrics import (
 from repro.serve.runtime import ServingRuntime, requests_from_traffic, serve_trace
 from repro.serve.traffic import (
     BurstyTraffic,
-    DiurnalTraffic,
     PoissonTraffic,
     TraceTraffic,
     TrafficProcess,
@@ -67,7 +66,6 @@ __all__ = [
     "Batch",
     "BatchPolicy",
     "BurstyTraffic",
-    "DiurnalTraffic",
     "EventQueue",
     "FailureRecord",
     "FaultInjector",

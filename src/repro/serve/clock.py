@@ -96,10 +96,6 @@ class EventQueue:
             raise IndexError("pop from an empty EventQueue")
         return heapq.heappop(self._heap)
 
-    def peek_time_s(self) -> float | None:
-        """Timestamp of the next event, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
-
     def drain(self) -> list[tuple[float, int, int, Any]]:
         """Remove and return all remaining entries in pop order."""
         remaining = [heapq.heappop(self._heap) for _ in range(len(self._heap))]

@@ -374,13 +374,6 @@ class ServingReport:
         """99th-percentile end-to-end latency (the headline SLO tail)."""
         return self.latency_percentile_s(99.0)
 
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean end-to-end latency over completed requests."""
-        if not self.n_completed:
-            return float("nan")
-        return float(np.mean(self.latencies_s))
-
     # ------------------------------------------------------------------ #
     # Throughput / utilisation / energy
     # ------------------------------------------------------------------ #

@@ -83,7 +83,6 @@ from repro.serve.traffic import TrafficProcess
 from repro.serve.workers import AcceleratorWorker, WorkerPool
 from repro.sim.noise import NoiseStack
 from repro.sim.photonic_inference import EnsembleInferenceEngine
-from repro.sim.tracer import trace_model
 from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs uses clock)
@@ -132,7 +131,7 @@ class ServingRuntime:
     Parameters
     ----------
     workloads:
-        Per-model layer workloads (``name -> trace_model(model)``); every
+        Per-model layer workloads (``name -> model.workloads()``); every
         model named by a request must appear here.
     accelerator:
         The analytic accelerator model every fleet worker wraps.
@@ -956,7 +955,7 @@ def serve_trace(
         tracing / profiling); guaranteed not to change the report.
     """
     name = model.name if hasattr(model, "name") else type(model).__name__
-    workloads = {name: trace_model(model)}
+    workloads = {name: model.workloads()}
     functional = None
     engines = None
     if inputs is not None:

@@ -6,14 +6,12 @@ runtime turns those into :class:`~repro.serve.events.Request` records.  The
 same generator state always produces the same arrivals, so a ``seed``
 pins an entire serving scenario end to end.
 
-Four processes cover the usual serving-evaluation shapes:
+Three processes cover the usual serving-evaluation shapes:
 
 * :class:`PoissonTraffic` -- steady memoryless load at a fixed rate;
 * :class:`BurstyTraffic` -- a two-state Markov-modulated Poisson process
   (exponentially distributed dwell times in a base-rate and a burst-rate
   state), the standard bursty-load model;
-* :class:`DiurnalTraffic` -- a sinusoidally rate-modulated Poisson process
-  (day/night load swing), sampled by thinning;
 * :class:`TraceTraffic` -- replay of explicit arrival timestamps (measured
   production traces, adversarial patterns, test fixtures).
 """
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 
 def _poisson_arrivals(
@@ -140,56 +138,6 @@ class BurstyTraffic(TrafficProcess):
             f"bursty(base={self.base_rate_rps:g}rps, burst={self.burst_rate_rps:g}rps, "
             f"dwell={self.mean_base_dwell_s:g}s/{self.mean_burst_dwell_s:g}s, "
             f"duration={self.duration_s:g}s)"
-        )
-
-
-@dataclass(frozen=True)
-class DiurnalTraffic(TrafficProcess):
-    """Sinusoidally rate-modulated Poisson arrivals (day/night swing).
-
-    The instantaneous rate is ``mean_rate_rps * (1 + amplitude *
-    sin(2*pi*(t/period_s + phase)))``; arrivals are sampled by thinning a
-    homogeneous process at the peak rate, the standard exact method for
-    inhomogeneous Poisson processes.
-    """
-
-    mean_rate_rps: float
-    duration_s: float
-    period_s: float
-    amplitude: float = 0.5
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_positive("mean_rate_rps", self.mean_rate_rps)
-        check_positive("duration_s", self.duration_s)
-        check_positive("period_s", self.period_s)
-        check_non_negative("amplitude", self.amplitude)
-        if self.amplitude > 1.0:
-            raise ValueError(
-                f"amplitude must be <= 1 (rates must stay non-negative), "
-                f"got {self.amplitude}"
-            )
-
-    def rate_at(self, time_s: float | np.ndarray) -> float | np.ndarray:
-        """Instantaneous arrival rate at ``time_s``."""
-        phase = 2.0 * np.pi * (np.asarray(time_s) / self.period_s + self.phase)
-        rate = self.mean_rate_rps * (1.0 + self.amplitude * np.sin(phase))
-        return float(rate) if np.isscalar(time_s) else rate
-
-    def arrival_times(self, rng: np.random.Generator) -> np.ndarray:
-        peak_rate = self.mean_rate_rps * (1.0 + self.amplitude)
-        times: list[float] = []
-        t = rng.exponential(1.0 / peak_rate)
-        while t < self.duration_s:
-            if rng.uniform() * peak_rate < self.rate_at(t):
-                times.append(t)
-            t += rng.exponential(1.0 / peak_rate)
-        return np.asarray(times)
-
-    def describe(self) -> str:
-        return (
-            f"diurnal(mean={self.mean_rate_rps:g}rps, amplitude={self.amplitude:g}, "
-            f"period={self.period_s:g}s, duration={self.duration_s:g}s)"
         )
 
 

@@ -190,7 +190,7 @@ class WorkerPool:
     workers:
         The fleet, in worker-id order.
     workloads:
-        Per-model layer workloads (``model name -> trace_model(...)``) used
+        Per-model layer workloads (``model name -> model.workloads()``) used
         to price batches.  All workers are assumed able to serve every
         model (the per-batch weight reprogramming is already part of
         :meth:`~repro.arch.accelerator.PhotonicAccelerator.batch_latency_s`).
@@ -239,11 +239,6 @@ class WorkerPool:
             )
             self._latency_table[key] = latency
         return latency
-
-    @property
-    def total_busy_s(self) -> float:
-        """Summed busy time across the fleet."""
-        return sum(worker.busy_s for worker in self.workers)
 
     @property
     def busy_s_per_worker(self) -> tuple[float, ...]:

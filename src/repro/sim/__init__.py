@@ -1,7 +1,7 @@
 """Performance/energy simulation of DNN models on photonic accelerators.
 
-* :mod:`repro.sim.tracer` -- extracts per-layer dot-product workloads from
-  :mod:`repro.nn` models.
+* :mod:`repro.sim.tracer` -- :func:`~repro.sim.tracer.trace_model`, a
+  type-checked ``model.workloads()``.
 * :mod:`repro.sim.simulator` -- runs models through accelerator models and
   aggregates Table III-style metrics.
 * :mod:`repro.sim.noise` -- the composable noise-channel stack (protocol,
@@ -53,12 +53,7 @@ from repro.sim.sweep import (
     run_sweep,
     zipped,
 )
-from repro.sim.tracer import (
-    WorkloadSummary,
-    accelerated_workloads,
-    summarize,
-    trace_model,
-)
+from repro.sim.tracer import trace_model
 
 __all__ = [
     "ComparisonResult",
@@ -87,14 +82,11 @@ __all__ = [
     "plan_chunks",
     "run_sweep",
     "zipped",
-    "WorkloadSummary",
-    "accelerated_workloads",
     "compare_accelerators",
     "default_accelerators",
     "format_ratio",
     "format_table",
     "simulate_model",
     "simulate_models",
-    "summarize",
     "trace_model",
 ]

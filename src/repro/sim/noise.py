@@ -48,14 +48,15 @@ once per row, draw from each member's generator in turn, and return
 channels the same way, so its deterministic prefix runs once per tensor and
 the ensemble forks at the first stochastic channel.
 
-``apply(weights, rng)`` and ``apply_many(weights, rngs)`` are derived from
-that primitive by :class:`_EnsembleChannelMixin`: a one-member stack, and
-a shared row expanded to ``(E, *weights.shape)``.  Both return fresh,
-writable arrays, and member ``e`` of ``apply_many`` is elementwise identical
-to ``apply(weights, rngs[e])``.  A third-party channel only needs ``apply``:
-:func:`ensemble_apply` broadcasts a shared row to every member and loops
-``apply`` over them, so it composes inside a :class:`NoiseStack` and the
-ensemble inference engine unchanged.
+``apply(weights, rng)`` is derived from that primitive by
+:class:`_EnsembleChannelMixin` as a one-member stack, and returns a fresh,
+writable array.  :func:`ensemble_apply` is the one ensemble entry point:
+``ensemble_apply(channel, weights[None], rngs)`` perturbs one shared tensor
+for every member, and its row ``e`` (or its only row, when every channel is
+deterministic) is elementwise identical to ``apply(weights, rngs[e])``.  A
+third-party channel only needs ``apply``: :func:`ensemble_apply` broadcasts
+a shared row to every member and loops ``apply`` over them, so it composes
+inside a :class:`NoiseStack` and the ensemble inference engine unchanged.
 
 Conventions
 -----------
@@ -137,8 +138,12 @@ def ensemble_apply(
     ensemble inference path unchanged.
 
     Either way member ``e`` sees exactly the weights, arithmetic, and random
-    draws it would see under ``channel.apply(weights_e, rngs[e])``.
+    draws it would see under ``channel.apply(weights_e, rngs[e])``.  The
+    result may keep a shared row's single row (deterministic channels) and
+    may share memory with ``stacked``.
     """
+    if not rngs:
+        raise ValueError("ensemble_apply requires at least one generator")
     vectorized = getattr(channel, "apply_stacked", None)
     if vectorized is not None:
         return vectorized(stacked, rngs)
@@ -149,7 +154,7 @@ def ensemble_apply(
 
 
 class _EnsembleChannelMixin:
-    """``apply`` and ``apply_many`` derived from a channel's ``apply_stacked``.
+    """``apply`` derived from a channel's ``apply_stacked``.
 
     Sub-classes implement only ``apply_stacked(stacked, rngs)``: it maps an
     ``(R, *shape)`` stack with ``R == len(rngs)`` (per-member tensors) or
@@ -157,8 +162,7 @@ class _EnsembleChannelMixin:
     A deterministic channel may keep ``R == 1``; a channel that draws from
     the generators returns ``len(rngs)`` rows, drawing nothing for an
     all-zero tensor.  ``apply_stacked`` may hand its input back by
-    reference; the two entry points derived here always return fresh arrays,
-    so callers (e.g. the inference engine perturbing live model weights) may
+    reference; ``apply`` always returns a fresh array, so callers may
     mutate the result.
     """
 
@@ -169,24 +173,6 @@ class _EnsembleChannelMixin:
         if np.may_share_memory(out, weights):
             out = out.copy()
         return out
-
-    def apply_many(
-        self, weights: np.ndarray, rngs: Sequence[np.random.Generator]
-    ) -> np.ndarray:
-        """Perturb ``weights`` once per generator; returns ``(E, *shape)``.
-
-        Member ``e`` of the result is elementwise identical to
-        ``self.apply(weights, rngs[e])``.  ``weights`` enters as one shared
-        row, so deterministic work runs once for all ``E`` members.
-        """
-        rngs = list(rngs)
-        if not rngs:
-            raise ValueError("apply_many requires at least one generator")
-        base = np.asarray(weights, dtype=float)
-        out = self.apply_stacked(base[None], rngs)
-        if out.shape[0] == len(rngs) and not np.may_share_memory(out, base):
-            return out
-        return np.array(np.broadcast_to(out, (len(rngs), *base.shape)))
 
 
 # ---------------------------------------------------------------------- #

@@ -17,11 +17,11 @@ evaluated without touching the engine:
 * :class:`EnsembleInferenceEngine` / :func:`evaluate_ensemble` evaluate E
   perturbed realisations of one model *in fused forward passes*: weight
   stacks are sampled through the vectorized
-  :meth:`~repro.sim.noise.NoiseStack.apply_many`, every Dense/Conv2D layer
-  runs one stacked GEMM over the ``(E, ...)`` weight axis, and im2col patch
-  matrices are computed once per input batch and shared across members --
-  with chunking over the member and batch axes to bound peak memory and an
-  opt-in float32 compute mode.  At float64 the ensemble is elementwise
+  :func:`~repro.sim.noise.ensemble_apply` on one shared row, every
+  Dense/Conv2D layer runs one stacked GEMM over the ``(E, ...)`` weight
+  axis, and im2col patch matrices are computed once per input batch and
+  shared across members -- with chunking over the member and batch axes to
+  bound peak memory and an opt-in float32 compute mode.  At float64 the ensemble is elementwise
   identical to evaluating each member alone with a sequential forward pass.
   A one-member engine over a caller-owned ``np.random.Generator`` is how
   functional serving runs each worker's device;
@@ -58,9 +58,10 @@ from repro.sim.noise import (
     QuantizationChannel,
     ResidualDriftChannel,
     default_noise_stack,
+    ensemble_apply,
 )
 from repro.sim.sweep import plan_chunks, run_sweep
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_input_rows, check_positive_int
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,6 @@ def _stack_residual_drift(stack: NoiseStack) -> float:
         for channel in stack
         if isinstance(channel, ResidualDriftChannel)
     )
-
-
-def _input_rows(inputs) -> np.ndarray:
-    """``inputs`` as an array, or ``ValueError`` when it has no rows to evaluate."""
-    inputs = np.asarray(inputs)
-    if inputs.ndim == 0 or inputs.shape[0] == 0:
-        raise ValueError(f"inputs is empty (shape {inputs.shape}): no rows to evaluate")
-    return inputs
 
 
 def _seed_tuple(seeds, *, generators: bool) -> tuple:
@@ -158,9 +151,10 @@ class EnsembleInferenceEngine:
     and evaluates them together:
 
     * weight perturbation runs through the vectorized
-      :meth:`~repro.sim.noise.NoiseStack.apply_many` when all members share
-      one stack (heterogeneous per-member stacks fall back to a per-member
-      loop for the perturbation only -- the forward passes stay fused);
+      :func:`~repro.sim.noise.ensemble_apply` on one shared weight row when
+      all members share one stack (heterogeneous per-member stacks fall
+      back to a per-member loop for the perturbation only -- the forward
+      passes stay fused);
     * every Dense/Conv2D layer executes one stacked GEMM over the
       ``(E, ...)`` weight axis (:meth:`~repro.nn.layers.Dense.\
 forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
@@ -308,7 +302,11 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         for index, params in base.items():
             weight = params["weight"]
             if self._shared_stack is not None:
-                stacked = self._shared_stack.apply_many(weight, rngs)
+                stacked = ensemble_apply(self._shared_stack, weight[None], rngs)
+                # A deterministic stack keeps the shared row, and a channel may
+                # hand its input back: expand or copy only then.
+                if stacked.shape[0] != len(rngs) or np.may_share_memory(stacked, weight):
+                    stacked = np.array(np.broadcast_to(stacked, (len(rngs), *weight.shape)))
             else:
                 stacked = np.stack(
                     [
@@ -443,7 +441,7 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         (see the class docstring) elementwise at float64.
         """
         check_positive_int("batch_size", batch_size)
-        inputs = _input_rows(inputs)
+        inputs = check_input_rows(inputs)
         layer_stacks = self.perturbed_weight_stacks(model)
         model.eval()
         chunks = self._member_chunks()
@@ -664,7 +662,7 @@ def accuracy_vs_residual_drift(
     identical to evaluating each drift point alone.  The drift-independent
     ideal accuracy is likewise computed once and shared across all points.
     """
-    ideal = ideal_model_accuracy(model, _input_rows(inputs), labels, batch_size=64)
+    ideal = ideal_model_accuracy(model, inputs, labels, batch_size=64)
     stacks = [default_noise_stack(resolution_bits, float(drift)) for drift in drifts_nm]
     records = evaluate_ensemble(
         model,
@@ -812,7 +810,7 @@ def monte_carlo_accuracy(
         if n_workers < 0:
             raise ValueError(f"n_workers must be >= 0, got {n_workers}")
     seed_list = _seed_tuple(seeds, generators=False)
-    inputs = _input_rows(inputs)
+    inputs = check_input_rows(inputs)
     policy = resolve_precision(precision)
     ideal = (
         float(ideal_accuracy)

@@ -19,7 +19,6 @@ from repro.baselines.deap_cnn import DeapCnnAccelerator
 from repro.baselines.holylight import HolyLightAccelerator
 from repro.nn.model import Sequential, SiameseModel
 from repro.nn.zoo import build_all_models
-from repro.sim.tracer import trace_model
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,13 @@ class ComparisonResult:
                 return report
         raise KeyError(f"no aggregate report for accelerator {accelerator_name!r}")
 
-    @property
-    def accelerator_names(self) -> tuple[str, ...]:
-        """Names of the compared accelerators, in simulation order."""
-        return tuple(report.accelerator for report in self.aggregates)
-
 
 def simulate_model(
     accelerator: PhotonicAccelerator, model: Sequential | SiameseModel
 ) -> InferenceReport:
     """Inference report of one model on one accelerator."""
     name = model.name if hasattr(model, "name") else type(model).__name__
-    return accelerator.simulate_workloads(trace_model(model), name)
+    return accelerator.simulate_workloads(model.workloads(), name)
 
 
 def simulate_models(

@@ -1,45 +1,18 @@
-"""Workload tracing: extracting photonic dot-product workloads from DNN models.
+"""Workload tracing: a type-checked ``model.workloads()``.
 
-The performance simulator does not execute the DNN numerically to estimate
-latency/energy -- it only needs each layer's dot-product *structure* (how
-long each dot product is and how many the layer performs), which the
-:class:`repro.nn` layers expose through their ``workload`` methods.  This
-module turns a model (Sequential or Siamese) into the list of
-:class:`repro.nn.layers.LayerWorkload` records the accelerator models
-consume, plus a few summary statistics used in reports.
-
-Despite the name, nothing here records *execution* over time: this is
-static workload extraction from a model's layer shapes.  Execution
-tracing -- Chrome trace-event timelines of serving runs, sweeps, and
-studies -- lives in :mod:`repro.obs.tracing`.
+Every caller in :mod:`repro` asks a model for its per-layer dot-product
+workloads with ``model.workloads()`` directly.  Execution tracing -- Chrome
+trace-event timelines of serving runs, sweeps, and studies -- lives in
+:mod:`repro.obs.tracing`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.nn.layers import LayerWorkload
 from repro.nn.model import Sequential, SiameseModel
 
 
-@dataclass(frozen=True)
-class WorkloadSummary:
-    """Aggregate statistics of one model's photonic workload."""
-
-    model: str
-    conv_macs: int
-    fc_macs: int
-    conv_dot_products: int
-    fc_dot_products: int
-    n_conv_layers: int
-    n_fc_layers: int
-
-    @property
-    def total_macs(self) -> int:
-        """Total accelerated multiply-accumulates per inference."""
-        return self.conv_macs + self.fc_macs
-
-
+# Kept because perfbench's serving workloads import it from here.
 def trace_model(model: Sequential | SiameseModel) -> list[LayerWorkload]:
     """Per-layer dot-product workloads of a model (one inference).
 
@@ -50,26 +23,4 @@ def trace_model(model: Sequential | SiameseModel) -> list[LayerWorkload]:
         return model.workloads()
     raise TypeError(
         f"expected a Sequential or SiameseModel, got {type(model).__name__}"
-    )
-
-
-def accelerated_workloads(model: Sequential | SiameseModel) -> list[LayerWorkload]:
-    """Only the CONV and FC workloads (the layers the photonic fabric runs)."""
-    return [w for w in trace_model(model) if w.kind in ("conv", "fc")]
-
-
-def summarize(model: Sequential | SiameseModel) -> WorkloadSummary:
-    """Aggregate MAC and dot-product counts of a model's workload."""
-    workloads = trace_model(model)
-    conv = [w for w in workloads if w.kind == "conv"]
-    fc = [w for w in workloads if w.kind == "fc"]
-    name = model.name if hasattr(model, "name") else type(model).__name__
-    return WorkloadSummary(
-        model=name,
-        conv_macs=int(sum(w.macs for w in conv)),
-        fc_macs=int(sum(w.macs for w in fc)),
-        conv_dot_products=int(sum(w.n_dot_products for w in conv)),
-        fc_dot_products=int(sum(w.n_dot_products for w in fc)),
-        n_conv_layers=len(conv),
-        n_fc_layers=len(fc),
     )

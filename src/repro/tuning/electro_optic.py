@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.devices.constants import EO_TUNING, TuningParameters
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,3 @@ class ElectroOpticTuner:
         if np.any(shifts > self.range_nm):
             raise ValueError("one or more shifts exceed the EO tuning range")
         return self.parameters.power_per_nm_w * shifts
-
-    def energy_per_update_j(self, shift_nm: float, symbol_time_s: float | None = None) -> float:
-        """Energy of a single weight/activation update.
-
-        EO tuning is applied per vector operation, so the natural energy unit
-        is per update: the holding power times the symbol (vector-operation)
-        time, defaulting to the tuner latency when no symbol time is given.
-        """
-        hold = self.latency_s if symbol_time_s is None else float(symbol_time_s)
-        check_non_negative("symbol_time_s", hold)
-        return self.power_for_shift_w(shift_nm) * hold

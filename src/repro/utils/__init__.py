@@ -26,6 +26,7 @@ from repro.utils.units import (
 from repro.utils.validation import (
     check_finite,
     check_in_range,
+    check_input_rows,
     check_non_negative,
     check_positive,
     check_positive_int,
@@ -46,6 +47,7 @@ __all__ = [
     "wavelength_to_frequency_thz",
     "check_finite",
     "check_in_range",
+    "check_input_rows",
     "check_non_negative",
     "check_positive",
     "check_positive_int",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 
 def check_positive(name: str, value: float) -> float:
     """Ensure ``value`` is a finite number strictly greater than zero."""
@@ -63,3 +65,11 @@ def check_in_range(name: str, value: float, low: float, high: float) -> float:
 def check_probability(name: str, value: float) -> float:
     """Ensure ``value`` lies in the closed interval [0, 1]."""
     return check_in_range(name, value, 0.0, 1.0)
+
+
+def check_input_rows(inputs: Any) -> np.ndarray:
+    """``inputs`` as an array, or ``ValueError`` when it has no rows to evaluate."""
+    inputs = np.asarray(inputs)
+    if inputs.ndim == 0 or inputs.shape[0] == 0:
+        raise ValueError(f"inputs is empty (shape {inputs.shape}): no rows to evaluate")
+    return inputs

@@ -23,7 +23,6 @@ from repro.variations.design_space import (
     explore_design_space,
 )
 from repro.variations.fpv import (
-    FPVDriftSampler,
     ProcessVariationModel,
     conventional_drift_nm,
     expected_fpv_drift_nm,
@@ -43,7 +42,6 @@ from repro.variations.thermal import (
 )
 
 __all__ = [
-    "FPVDriftSampler",
     "HeatSolver1D",
     "MRDesignCandidate",
     "ProcessVariationModel",

@@ -8,15 +8,17 @@ resonance drift from 7.1 nm (conventional design) to 2.1 nm.
 
 The architecture only consumes the *statistics* of that drift -- how many
 nanometres of tuning each ring needs on average at boot -- so this module
-provides a Monte-Carlo drift sampler whose mean absolute drift is calibrated
-to the paper's measured values, plus a sensitivity model that explains the
-reduction: widening the ring waveguide reduces d(neff)/d(width), so the same
-geometric variation produces less index (and resonance) shift.
+provides the drift magnitude calibrated to the paper's measured values
+(:func:`expected_fpv_drift_nm`, a 3-sigma figure), a bank-correlated
+Monte-Carlo drift sampler (:func:`sample_banked_drifts`), and a sensitivity
+model that explains the reduction: widening the ring waveguide reduces
+d(neff)/d(width), so the same geometric variation produces less index (and
+resonance) shift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,10 +109,10 @@ def sample_banked_drifts(
     (systematic) component carrying ``bank_correlation`` of the variance,
     and every ring adds an independent local component with the remainder.
 
-    Unlike :class:`FPVDriftSampler` this helper draws from a caller-supplied
-    :class:`numpy.random.Generator`, so Monte-Carlo harnesses (the FPV noise
-    channel, :func:`repro.sim.photonic_inference.monte_carlo_accuracy`) can
-    thread one seeded stream through a whole trial.
+    It draws from a caller-supplied :class:`numpy.random.Generator`, so
+    Monte-Carlo harnesses (the FPV noise channel,
+    :func:`repro.sim.photonic_inference.monte_carlo_accuracy`) can thread
+    one seeded stream through a whole trial.
 
     Parameters
     ----------
@@ -121,8 +123,7 @@ def sample_banked_drifts(
     sigma_nm:
         Per-ring drift standard deviation (e.g. ``expected_fpv_drift_nm / 3``).
     bank_size:
-        Rings per bank; ``None`` treats all rings as one bank (the
-        :class:`FPVDriftSampler` convention).
+        Rings per bank; ``None`` treats all rings as one bank.
     bank_correlation:
         Fraction of the drift variance common to the rings of a bank.
     """
@@ -137,56 +138,6 @@ def sample_banked_drifts(
     common = rng.normal(0.0, sigma_nm * np.sqrt(bank_correlation), size=n_banks)
     local = rng.normal(0.0, sigma_nm * np.sqrt(1.0 - bank_correlation), size=n_rings)
     return np.repeat(common, bank_size)[:n_rings] + local
-
-
-@dataclass
-class FPVDriftSampler:
-    """Monte-Carlo sampler of per-ring FPV resonance drifts.
-
-    Draws spatially smooth (bank-correlated) drifts whose 3-sigma magnitude
-    matches :func:`expected_fpv_drift_nm` for the given design, so that the
-    tuning-power analyses that consume these samples are consistent with the
-    paper's single-number drift characterisation.
-    """
-
-    design: MRDesignParameters = field(default_factory=lambda: OPTIMIZED_MR)
-    variation: ProcessVariationModel = field(default_factory=ProcessVariationModel)
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
-
-    @property
-    def sigma_nm(self) -> float:
-        """Per-ring drift standard deviation implied by the design point."""
-        return expected_fpv_drift_nm(self.design, self.variation) / 3.0
-
-    def sample(self, n_rings: int, bank_correlation: float = 0.8) -> np.ndarray:
-        """Sample signed resonance drifts (nm) for ``n_rings`` rings.
-
-        Parameters
-        ----------
-        n_rings:
-            Number of rings to sample.
-        bank_correlation:
-            Fraction of the drift variance that is common to all rings in the
-            bank (systematic wafer-level component); the remainder is
-            independent per-ring noise.
-        """
-        check_positive_int("n_rings", n_rings)
-        if not 0.0 <= bank_correlation <= 1.0:
-            raise ValueError("bank_correlation must be in [0, 1]")
-        sigma = self.sigma_nm
-        common = self._rng.normal(0.0, sigma * np.sqrt(bank_correlation))
-        local = self._rng.normal(
-            0.0, sigma * np.sqrt(1.0 - bank_correlation), size=n_rings
-        )
-        return common + local
-
-    def mean_absolute_drift_nm(self, n_rings: int = 1000) -> float:
-        """Monte-Carlo estimate of the mean |drift| a tuner must compensate."""
-        samples = self.sample(n_rings, bank_correlation=0.0)
-        return float(np.mean(np.abs(samples)))
 
 
 def conventional_drift_nm() -> float:

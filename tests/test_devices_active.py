@@ -8,13 +8,11 @@ import pytest
 
 from repro.devices import (
     BalancedPhotodetector,
-    ConverterArray,
     LaserSource,
     MachZehnderModulator,
     Microdisk,
     PD_SENSITIVITY_DBM,
     Photodetector,
-    ReceiverChain,
     TransimpedanceAmplifier,
     VCSELEmitter,
     adc_channel,
@@ -79,13 +77,6 @@ class TestPhotodetectors:
         current = bpd.differential_current_a(positive, negative)
         assert current == pytest.approx(1e-3)
         assert bpd.differential_current_a(negative, positive) == pytest.approx(-1e-3)
-
-    def test_receiver_chain_latency_and_power_compose(self):
-        chain = ReceiverChain()
-        assert chain.latency_s == pytest.approx(
-            chain.detector.latency_s + chain.tia.latency_s
-        )
-        assert chain.power_w == pytest.approx(chain.detector.power_w + chain.tia.power_w)
 
     def test_tia_voltage_proportional_to_current(self):
         tia = TransimpedanceAmplifier(gain_ohm=5e3)
@@ -164,16 +155,6 @@ class TestConverters:
     def test_conversion_latency_from_rate(self):
         channel = dac_channel()
         assert channel.conversion_latency_s == pytest.approx(1.0 / (channel.sample_rate_gsps * 1e9))
-
-    def test_array_power_scales_with_channels(self):
-        array = ConverterArray(channel=adc_channel(), n_channels=10)
-        assert array.total_power_w == pytest.approx(10 * adc_channel().power_w)
-
-    def test_vector_conversion_serialises_over_channels(self):
-        array = ConverterArray(channel=dac_channel(), n_channels=4)
-        single_pass = array.time_for_vector_s(4)
-        two_passes = array.time_for_vector_s(5)
-        assert two_passes == pytest.approx(2 * single_pass)
 
     def test_time_for_samples_positive_int_required(self):
         with pytest.raises((TypeError, ValueError)):

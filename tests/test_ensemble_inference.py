@@ -2,7 +2,7 @@
 
 The contract under test: evaluating E perturbed realisations of a model
 through the fused ensemble path -- stacked weight perturbation
-(``apply_many``/``apply_stacked``), stacked layer forwards, chunking over
+(``ensemble_apply``/``apply_stacked``), stacked layer forwards, chunking over
 members and batches -- is **elementwise identical** at float64 to running E
 independent layer-by-layer forward passes (``sequential_logits``), for every
 built-in noise channel and for composed stacks.
@@ -42,6 +42,14 @@ def _member_ids(value):
     return value.describe() if hasattr(value, "describe") else repr(value)
 
 
+def _shared_row(channel, weights, seeds):
+    """``ensemble_apply`` on one shared row, broadcast to ``(E, *shape)``."""
+    rngs = [np.random.default_rng(s) for s in seeds]
+    out = ensemble_apply(channel, np.asarray(weights, dtype=float)[None], rngs)
+    assert out.shape[0] in (1, len(rngs))
+    return np.broadcast_to(out, (len(rngs), *np.shape(weights)))
+
+
 # ---------------------------------------------------------------------- #
 # Channel-level identity
 # ---------------------------------------------------------------------- #
@@ -57,11 +65,11 @@ class TestApplyManyIdentity:
     def test_apply_many_matches_sequential_loop(
         self, data_seed, n_members, seed0, channel_index, shape
     ):
-        """apply_many == stacking E sequential apply calls, elementwise."""
+        """ensemble_apply on a shared row == E sequential apply calls, elementwise."""
         channel = CHANNELS[channel_index]
         weights = np.random.default_rng(data_seed).normal(size=shape)
         seeds = [seed0 + member for member in range(n_members)]
-        fused = channel.apply_many(weights, [np.random.default_rng(s) for s in seeds])
+        fused = _shared_row(channel, weights, seeds)
         reference = np.stack(
             [
                 np.asarray(channel.apply(weights, np.random.default_rng(s)), dtype=float)
@@ -69,8 +77,6 @@ class TestApplyManyIdentity:
             ]
         )
         np.testing.assert_array_equal(fused, reference)
-        assert fused.shape == (n_members, *shape)
-        assert fused.flags.writeable
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=_member_ids)
     def test_apply_stacked_on_diverged_members(self, channel, rng):
@@ -92,28 +98,26 @@ class TestApplyManyIdentity:
 
     @pytest.mark.parametrize("channel", CHANNELS, ids=_member_ids)
     def test_apply_many_zero_tensor_is_identity(self, channel):
-        fused = channel.apply_many(
-            np.zeros((4, 3)), [np.random.default_rng(s) for s in range(3)]
-        )
+        fused = _shared_row(channel, np.zeros((4, 3)), range(3))
         np.testing.assert_array_equal(fused, np.zeros((3, 4, 3)))
 
     def test_third_party_channel_falls_back_to_loop(self, rng):
         """Channels without apply_stacked compose via the per-member loop."""
         stack = NoiseStack([QuantizationChannel(bits=8), JitterChannel()])
         weights = rng.normal(size=(5, 4))
-        fused = stack.apply_many(weights, [np.random.default_rng(s) for s in range(4)])
+        fused = _shared_row(stack, weights, range(4))
         reference = np.stack(
             [stack.apply(weights, np.random.default_rng(s)) for s in range(4)]
         )
         np.testing.assert_array_equal(fused, reference)
 
     def test_apply_many_requires_generators(self):
-        with pytest.raises(ValueError):
-            QuantizationChannel(bits=8).apply_many(np.ones((2, 2)), [])
+        with pytest.raises(ValueError, match="at least one generator"):
+            ensemble_apply(QuantizationChannel(bits=8), np.ones((1, 2, 2)), [])
 
 
 class TestSharedPrefix:
-    """``apply_many`` runs a stack's deterministic prefix once per tensor."""
+    """A shared row runs a stack's deterministic prefix once per tensor."""
 
     def test_prefix_ahead_of_first_stochastic_channel_sees_one_row(self, monkeypatch, rng):
         seen = []
@@ -138,7 +142,8 @@ class TestSharedPrefix:
             ]
         )
         weights = rng.normal(size=(6, 5))
-        out = stack.apply_many(weights, [np.random.default_rng(s) for s in range(16)])
+        rngs = [np.random.default_rng(s) for s in range(16)]
+        out = ensemble_apply(stack, weights[None], rngs)
         assert seen == [
             ("QuantizationChannel", 1),
             ("InterChannelCrosstalkChannel", 1),
@@ -157,13 +162,35 @@ class TestSharedPrefix:
         )
         weights = rng.normal(size=(6, 5))
         rngs = [np.random.default_rng(s) for s in range(16)]
-        out = stack.apply_many(weights, rngs)
+        out = ensemble_apply(stack, weights[None], rngs)
         for seed, generator in enumerate(rngs):
             assert generator.bit_generator.state == np.random.default_rng(seed).bit_generator.state
-        assert out.shape == (16, 6, 5) and out.flags.writeable
+        assert out.shape == (1, 6, 5)
+
+    def test_engine_expands_a_shared_row_into_writable_member_rows(self):
+        """The engine copies a kept shared row out to E rows, and only then."""
+        model = Sequential([Dense(5, 6, rng=np.random.default_rng(0))], input_shape=(5,))
+        deterministic = NoiseStack([QuantizationChannel(bits=8)])
+        out = EnsembleInferenceEngine(deterministic, seeds=16).perturbed_weight_stacks(model)[0]
+        assert out.shape == (16, *model.layers[0].weight.shape) and out.flags.writeable
+        assert not np.may_share_memory(out, model.layers[0].weight)
         np.testing.assert_array_equal(out, np.broadcast_to(out[0], out.shape))
         out[0] = 0.0
         assert not np.array_equal(out[0], out[1])
+
+    def test_engine_keeps_fresh_member_rows_without_a_copy(self, monkeypatch):
+        produced = []
+        original = NoiseStack.apply_stacked
+
+        def recording(self, stacked, rngs):
+            produced.append(original(self, stacked, rngs))
+            return produced[-1]
+
+        monkeypatch.setattr(NoiseStack, "apply_stacked", recording)
+        model = Sequential([Dense(5, 6, rng=np.random.default_rng(0))], input_shape=(5,))
+        stack = NoiseStack([QuantizationChannel(bits=8), FPVDriftChannel()])
+        out = EnsembleInferenceEngine(stack, seeds=4).perturbed_weight_stacks(model)[0]
+        assert out is produced[0] and out.shape[0] == 4
 
 
 class TestQuantizeArrayStack:
@@ -529,6 +556,21 @@ class TestEngineValidation:
             with pytest.raises(ValueError, match="inputs is empty"):
                 call()
         assert perturbed == []
+
+    def test_sequential_and_ideal_accuracy_reject_empty_inputs(self):
+        from repro.nn.zoo import build_model
+        from repro.sim import ideal_model_accuracy
+
+        model = build_model(1, compact=True)
+        empty_x, empty_y = np.zeros((0, 1, 16, 16)), np.zeros(0, int)
+        calls = [
+            lambda: model.evaluate(empty_x, empty_y),
+            lambda: model.predict(empty_x),
+            lambda: ideal_model_accuracy(model, empty_x, empty_y),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="empty"):
+                call()
 
     def test_layer_ensemble_shape_validation(self, rng):
         dense = Dense(4, 3, rng=rng)

@@ -112,12 +112,3 @@ class TestSoftmax:
         probabilities = F.softmax(logits)
         assert np.all(np.isfinite(probabilities))
 
-
-class TestOneHot:
-    def test_one_hot_encoding(self):
-        encoded = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_allclose(encoded, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-
-    def test_one_hot_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([0, 3]), 3)

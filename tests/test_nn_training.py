@@ -10,10 +10,8 @@ import pytest
 
 from repro.nn import (
     Adam,
-    ContrastiveLoss,
     Dense,
     MODEL_SPECS,
-    MeanSquaredError,
     ReLU,
     SGD,
     Sequential,
@@ -62,23 +60,6 @@ class TestLosses:
             logits[idx] += eps
             numeric[idx] = (plus - minus) / (2 * eps)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
-
-    def test_mse_zero_for_exact_match(self, rng):
-        values = rng.normal(size=(4, 2))
-        loss, grad = MeanSquaredError()(values, values.copy())
-        assert loss == pytest.approx(0.0)
-        np.testing.assert_allclose(grad, 0.0)
-
-    def test_contrastive_loss_behaviour(self):
-        loss_fn = ContrastiveLoss(margin=1.0)
-        # Same pair at zero distance: no loss; different pair at zero: max loss.
-        same_loss, _ = loss_fn(np.array([0.0]), np.array([1]))
-        diff_loss, _ = loss_fn(np.array([0.0]), np.array([0]))
-        assert same_loss == pytest.approx(0.0)
-        assert diff_loss == pytest.approx(1.0)
-        # Different pair beyond the margin: no loss.
-        far_loss, _ = loss_fn(np.array([2.0]), np.array([0]))
-        assert far_loss == pytest.approx(0.0)
 
     def test_accuracy_helpers(self):
         logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])

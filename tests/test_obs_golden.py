@@ -38,7 +38,6 @@ from repro.serve import (
     requests_from_traffic,
     serve_trace,
 )
-from repro.sim.tracer import trace_model
 
 FAULTY = FaultModel(
     crash_mtbf_s=1.5e-3, repair_mttr_s=0.3e-3,
@@ -71,7 +70,7 @@ def _serve(models, accelerator, seed, obs, *, rate_rps, faults=None,
 def _two_model(models, accelerator, seed, obs):
     """Two models on one fleet: shedding, backoff and ``max_attempts=2``."""
     runtime = ServingRuntime(
-        {model.name: trace_model(model) for model in models},
+        {model.name: model.workloads() for model in models},
         accelerator,
         BatchPolicy(max_batch_size=4, max_wait_s=50e-6, max_queue_depth=12),
         n_workers=2,

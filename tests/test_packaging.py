@@ -1,8 +1,12 @@
-"""The package version is declared once, in ``repro.__version__``."""
+"""Packaging: the version is declared once, in ``repro.__version__``, and
+every public package's ``__all__`` names something that exists."""
 
 from __future__ import annotations
 
+import importlib
 from pathlib import Path
+
+import pytest
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -30,3 +34,27 @@ def test_pyproject_declares_no_static_version():
     assert "version" not in tables["project"]
     assert '"version"' in tables["project"]["dynamic"]
     assert tables["tool.setuptools.dynamic"]["version"] == '{ attr = "repro.__version__" }'
+
+
+PUBLIC_PACKAGES = [
+    "repro",
+    "repro.sim",
+    "repro.nn",
+    "repro.serve",
+    "repro.devices",
+    "repro.variations",
+    "repro.obs",
+    "repro.utils",
+    "repro.tuning",
+    "repro.arch",
+]
+
+
+@pytest.mark.parametrize("name", PUBLIC_PACKAGES)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    missing = [export for export in module.__all__ if not hasattr(module, export)]
+    assert missing == []
+    namespace: dict[str, object] = {}
+    exec(f"from {name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)

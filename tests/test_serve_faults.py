@@ -44,7 +44,6 @@ from repro.serve import (
     serve_trace,
 )
 from repro.serve.workers import AcceleratorWorker
-from repro.sim.tracer import trace_model
 from repro.study import run_experiment
 
 
@@ -60,7 +59,7 @@ def crosslight():
 
 @pytest.fixture(scope="module")
 def lenet_workloads(lenet):
-    return trace_model(lenet)
+    return lenet.workloads()
 
 
 @pytest.fixture(scope="module")

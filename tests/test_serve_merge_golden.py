@@ -44,7 +44,6 @@ from repro.serve import (
     requests_from_traffic,
     serve_trace,
 )
-from repro.sim.tracer import trace_model
 
 POLICY = BatchPolicy(max_batch_size=4, max_wait_s=50e-6)
 DURATION_S = 0.003
@@ -67,7 +66,7 @@ def crosslight():
 
 def _runtime(models, accelerator, *, n_models=1, n_workers=2):
     return ServingRuntime(
-        {model.name: trace_model(model) for model in models[:n_models]},
+        {model.name: model.workloads() for model in models[:n_models]},
         accelerator, POLICY, n_workers=n_workers,
     )
 

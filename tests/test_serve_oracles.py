@@ -42,7 +42,6 @@ from repro.serve import (
     requests_from_traffic,
     serve_trace,
 )
-from repro.sim.tracer import trace_model
 
 N_REQUESTS = 20_000
 N_BATCHES = 20
@@ -63,7 +62,7 @@ def crosslight():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("rho", [0.5, 0.7])
 def test_md1_queue_wait_matches_pollaczek_khinchine(lenet, crosslight, rho, seed):
-    service_s = crosslight.batch_latency_s(trace_model(lenet), 1)
+    service_s = crosslight.batch_latency_s(lenet.workloads(), 1)
     rate_rps = rho / service_s
     report = serve_trace(
         lenet,
@@ -106,7 +105,7 @@ def _queue_depth_integral(report) -> float:
 def _two_model_run(crosslight, seed):
     models = build_model(1), build_model(2)
     runtime = ServingRuntime(
-        {model.name: trace_model(model) for model in models},
+        {model.name: model.workloads() for model in models},
         crosslight,
         BatchPolicy(max_batch_size=8, max_wait_s=20e-6),
         n_workers=4,
@@ -163,7 +162,7 @@ def _cut_off_run(lenet, crosslight, load, n_requests, seed, max_queue_depth=None
     the work a fleet serving at capacity throughout leaves undone.
     """
     capacity_rps = SATURATION_WORKERS * SATURATION_BATCH / crosslight.batch_latency_s(
-        trace_model(lenet), SATURATION_BATCH
+        lenet.workloads(), SATURATION_BATCH
     )
     rate_rps = load * capacity_rps
     duration_s = n_requests / rate_rps

@@ -31,7 +31,6 @@ from repro.serve import traffic as traffic_module
 from repro.serve import (
     BatchPolicy,
     BurstyTraffic,
-    DiurnalTraffic,
     EventQueue,
     MicroBatcher,
     PoissonTraffic,
@@ -52,7 +51,6 @@ from repro.sim.noise import (
     ResidualDriftChannel,
 )
 from repro.sim.simulator import simulate_models
-from repro.sim.tracer import trace_model
 from test_serve_merge_golden import FAULTY
 
 
@@ -68,7 +66,7 @@ def crosslight():
 
 @pytest.fixture(scope="module")
 def lenet_workloads(lenet):
-    return trace_model(lenet)
+    return lenet.workloads()
 
 
 # --------------------------------------------------------------------------- #
@@ -148,11 +146,8 @@ class TestTraffic:
                 mean_base_dwell_s=0.02,
                 mean_burst_dwell_s=0.005,
             ),
-            DiurnalTraffic(
-                mean_rate_rps=5_000.0, duration_s=0.2, period_s=0.1, amplitude=0.8
-            ),
         ],
-        ids=["poisson", "bursty", "diurnal"],
+        ids=["poisson", "bursty"],
     )
     def test_seeded_sorted_and_in_window(self, traffic):
         times = traffic.generate(seed=7)
@@ -185,16 +180,6 @@ class TestTraffic:
         times = traffic.generate(seed=0)
         assert times.size == pytest.approx(5_000, rel=0.1)
 
-    def test_diurnal_modulates_rate_across_half_periods(self):
-        traffic = DiurnalTraffic(
-            mean_rate_rps=20_000.0, duration_s=0.1, period_s=0.1, amplitude=0.9
-        )
-        times = traffic.generate(seed=0)
-        first_half = np.sum(times < 0.05)
-        second_half = times.size - first_half
-        # sin > 0 over the first half period: the day side must dominate.
-        assert first_half > 2 * second_half
-
     def test_trace_replay_is_exact_and_seed_free(self):
         trace = TraceTraffic([0.0, 0.5, 0.5, 1.0])
         assert np.array_equal(trace.generate(0), trace.generate(99))
@@ -205,8 +190,6 @@ class TestTraffic:
             PoissonTraffic(rate_rps=0.0, duration_s=1.0)
         with pytest.raises(ValueError):
             BurstyTraffic(5.0, 1.0, 1.0, 0.1, 0.1)  # burst < base
-        with pytest.raises(ValueError):
-            DiurnalTraffic(1.0, 1.0, 1.0, amplitude=1.5)
         with pytest.raises(ValueError):
             TraceTraffic([1.0, 0.5])
         with pytest.raises(ValueError):
@@ -605,7 +588,7 @@ class TestArbitrationCount:
             return arbitrate(self, *args)
 
         monkeypatch.setattr(ServingRuntime, "_dispatch_ready", counted)
-        capacity_rps = 4 * 8 / crosslight.batch_latency_s(trace_model(lenet), 8)
+        capacity_rps = 4 * 8 / crosslight.batch_latency_s(lenet.workloads(), 8)
         rate = 0.8 * capacity_rps
         report = serve_trace(
             lenet,
@@ -647,7 +630,7 @@ class TestPerRequestObjects:
             RequestRecord, "__init__", counted("RequestRecord", RequestRecord.__init__)
         )
         monkeypatch.setattr(TraceEvent, "__new__", counted("TraceEvent", TraceEvent.__new__))
-        capacity_rps = 4 * 8 / crosslight.batch_latency_s(trace_model(lenet), 8)
+        capacity_rps = 4 * 8 / crosslight.batch_latency_s(lenet.workloads(), 8)
         rate = 0.8 * capacity_rps
         report = serve_trace(
             lenet,
@@ -676,7 +659,7 @@ class TestMultiModel:
 
     def test_per_model_queues_never_mix_batches(self, crosslight):
         models = {1: build_model(1), 2: build_model(2)}
-        workloads = {m.name: trace_model(m) for m in models.values()}
+        workloads = {m.name: m.workloads() for m in models.values()}
         runtime = ServingRuntime(
             workloads,
             crosslight,

@@ -9,43 +9,42 @@ from repro.arch import CrossLightAccelerator
 from repro.baselines import DeapCnnAccelerator, HolyLightAccelerator
 from repro.nn import build_model
 from repro.sim import (
-    accelerated_workloads,
     default_accelerators,
     format_ratio,
     format_table,
     simulate_model,
     simulate_models,
-    summarize,
-    trace_model,
 )
+from repro.sim.tracer import trace_model
+
+ACCELERATED = ("conv", "fc")
+
+
+def _accelerated_macs(model) -> int:
+    return sum(w.macs for w in model.workloads() if w.kind in ACCELERATED)
 
 
 class TestTracer:
     def test_trace_lenet_layer_kinds(self, lenet_full):
-        workloads = trace_model(lenet_full)
-        kinds = [w.kind for w in workloads if w.kind in ("conv", "fc")]
+        kinds = [w.kind for w in lenet_full.workloads() if w.kind in ACCELERATED]
         assert kinds == ["conv", "conv", "fc", "fc"]
 
     def test_accelerated_workloads_filtered(self, lenet_full):
-        accelerated = accelerated_workloads(lenet_full)
-        assert all(w.kind in ("conv", "fc") for w in accelerated)
-        assert len(accelerated) == 4
+        """One workload per layer; only the CONV/FC ones run on the fabric."""
+        workloads = lenet_full.workloads()
+        assert len(workloads) == len(lenet_full.layers)
+        assert sum(w.kind in ACCELERATED for w in workloads) == 4
 
     def test_summary_mac_counts(self, lenet_full):
-        summary = summarize(lenet_full)
-        assert summary.n_conv_layers == 2
-        assert summary.n_fc_layers == 2
-        assert summary.total_macs == summary.conv_macs + summary.fc_macs
         # LeNet-5 is a few hundred thousand MACs per inference.
-        assert 1e5 < summary.total_macs < 1e6
+        assert 1e5 < _accelerated_macs(lenet_full) < 1e6
 
     def test_siamese_macs_double_trunk(self, full_models):
         siamese = full_models[4]
-        assert summarize(siamese).total_macs == 2 * sum(
-            w.macs for w in siamese.trunk.workloads() if w.kind in ("conv", "fc")
-        )
+        assert _accelerated_macs(siamese) == 2 * _accelerated_macs(siamese.trunk)
 
     def test_trace_rejects_unknown_types(self):
+        assert trace_model(build_model(1)) == build_model(1).workloads()
         with pytest.raises(TypeError):
             trace_model(object())
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.devices import CONVENTIONAL_MR, OPTIMIZED_MR
 from repro.variations import (
-    FPVDriftSampler,
     HeatSolver1D,
     ProcessVariationModel,
     StackProperties,
@@ -19,6 +18,7 @@ from repro.variations import (
     explore_design_space,
     fit_decay_length_um,
     phase_crosstalk_ratio,
+    sample_banked_drifts,
     temperature_rise_from_heater,
     width_sensitivity_nm_per_nm,
 )
@@ -45,20 +45,72 @@ class TestFPVModel:
         )
 
     def test_sampler_is_reproducible_and_scaled(self):
-        sampler_a = FPVDriftSampler(design=OPTIMIZED_MR, seed=7)
-        sampler_b = FPVDriftSampler(design=OPTIMIZED_MR, seed=7)
-        np.testing.assert_allclose(sampler_a.sample(100), sampler_b.sample(100))
+        sigma = expected_fpv_drift_nm(OPTIMIZED_MR) / 3.0
+        first = sample_banked_drifts(np.random.default_rng(7), 100, sigma)
+        second = sample_banked_drifts(np.random.default_rng(7), 100, sigma)
+        np.testing.assert_array_equal(first, second)
+        unit = sample_banked_drifts(np.random.default_rng(7), 100, 1.0)
+        np.testing.assert_allclose(first, sigma * unit)
 
     def test_sampler_conventional_has_larger_spread(self):
-        conventional = FPVDriftSampler(design=CONVENTIONAL_MR, seed=0)
-        optimized = FPVDriftSampler(design=OPTIMIZED_MR, seed=0)
-        assert conventional.sigma_nm > optimized.sigma_nm
-        assert conventional.mean_absolute_drift_nm() > optimized.mean_absolute_drift_nm()
+        def mean_abs_drift(design) -> float:
+            sigma = expected_fpv_drift_nm(design) / 3.0
+            drifts = sample_banked_drifts(
+                np.random.default_rng(0), 1000, sigma, bank_correlation=0.0
+            )
+            return float(np.mean(np.abs(drifts)))
+
+        assert expected_fpv_drift_nm(CONVENTIONAL_MR) > expected_fpv_drift_nm(OPTIMIZED_MR)
+        assert mean_abs_drift(CONVENTIONAL_MR) > mean_abs_drift(OPTIMIZED_MR)
 
     def test_sampler_rejects_bad_correlation(self):
-        sampler = FPVDriftSampler()
         with pytest.raises(ValueError):
-            sampler.sample(10, bank_correlation=1.5)
+            sample_banked_drifts(np.random.default_rng(0), 10, 1.0, bank_correlation=1.5)
+
+
+class TestBankedDriftMoments:
+    """``sample_banked_drifts`` moments against the model's closed forms.
+
+    Each draw is reshaped to ``(trials, 4)``: two banks of two rings per
+    row, every row independent.  With ``trials`` rows the sample variance
+    has standard error ``sigma**2 * sqrt(2 / trials)``, a correlation ``r``
+    near ``rho`` has standard error ``(1 - rho**2) / sqrt(trials)``, and the
+    bounds allow five standard errors on each of a fixed set of seeds.
+    """
+
+    TRIALS = 20_000
+    SIGMA_NM = 0.7
+    RHO = 0.8
+
+    def _rows(self, seed: int) -> np.ndarray:
+        drifts = sample_banked_drifts(
+            np.random.default_rng(seed),
+            4 * self.TRIALS,
+            self.SIGMA_NM,
+            bank_size=2,
+            bank_correlation=self.RHO,
+        )
+        return drifts.reshape(self.TRIALS, 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_marginal_std_is_sigma(self, seed):
+        variances = self._rows(seed).var(axis=0, ddof=1) / self.SIGMA_NM**2
+        np.testing.assert_array_less(np.abs(variances - 1.0), 5 * np.sqrt(2 / self.TRIALS))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_within_bank_correlation_is_bank_correlation(self, seed):
+        rows = self._rows(seed)
+        bound = 5 * (1 - self.RHO**2) / np.sqrt(self.TRIALS)
+        for first, second in ((0, 1), (2, 3)):
+            r = np.corrcoef(rows[:, first], rows[:, second])[0, 1]
+            assert abs(r - self.RHO) < bound
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_between_bank_correlation_is_zero(self, seed):
+        rows = self._rows(seed)
+        for first, second in ((0, 2), (1, 3)):
+            r = np.corrcoef(rows[:, first], rows[:, second])[0, 1]
+            assert abs(r) < 5 / np.sqrt(self.TRIALS)
 
 
 class TestThermalCrosstalk:
