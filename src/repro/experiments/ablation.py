@@ -24,8 +24,9 @@ extension of the evaluation:
 Both accuracy studies run on the ensemble-vectorized inference path: the
 drift sweep evaluates all drift points as one fused ensemble, and each
 Monte-Carlo study stacks its wafer draws along the ensemble axis
-(:class:`repro.sim.photonic_inference.EnsembleInferenceEngine`), with
-``n_workers > 1`` still available to spread seed chunks over a process pool.
+(:class:`repro.sim.photonic_inference.EnsembleInferenceEngine`), and a
+session's :class:`~repro.sim.sweep.SweepExecutor` additionally spreads the
+seed chunks over its process pool.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.sim.photonic_inference import (
     monte_carlo_accuracy,
 )
 from repro.sim.results import format_table
-from repro.sim.sweep import run_sweep
+from repro.sim.sweep import SweepExecutor, run_sweep
 from repro.study import (
     RunContext,
     StudyConfig,
@@ -191,7 +192,7 @@ def fpv_monte_carlo_ablation(
     epochs: int = 6,
     n_train: int = 300,
     n_test: int = 120,
-    n_workers: int | None = None,
+    executor: SweepExecutor | None = None,
     precision=None,
 ) -> FPVMonteCarloAblation:
     """Monte-Carlo FPV accuracy with and without tuning compensation.
@@ -201,10 +202,10 @@ def fpv_monte_carlo_ablation(
     small residual fraction a locked TED/hybrid tuning loop leaves behind.
     Each stack is evaluated over ``seeds`` independent wafer draws through
     :func:`repro.sim.photonic_inference.monte_carlo_accuracy`, which stacks
-    the draws along the ensemble axis and runs fused forward passes (pass
-    ``n_workers > 1`` to additionally spread seed chunks over a process
-    pool).  ``precision`` selects the compute policy end to end, including
-    inside worker processes.
+    the draws along the ensemble axis and runs fused forward passes (pass an
+    ``executor`` to additionally spread seed chunks over its process pool).
+    ``precision`` selects the compute policy end to end, including inside
+    worker processes.
     """
     policy = resolve_precision(precision)
     model, (test_x, test_y) = trained_model(
@@ -222,12 +223,12 @@ def fpv_monte_carlo_ablation(
     ideal = ideal_model_accuracy(model, test_x, test_y)
     uncompensated = monte_carlo_accuracy(
         model, test_x, test_y, stack(1.0),
-        seeds=seeds, activation_bits=resolution_bits, n_workers=n_workers,
+        seeds=seeds, activation_bits=resolution_bits, executor=executor,
         precision=policy, ideal_accuracy=ideal,
     )
     compensated = monte_carlo_accuracy(
         model, test_x, test_y, stack(compensated_residual_fraction),
-        seeds=seeds, activation_bits=resolution_bits, n_workers=n_workers,
+        seeds=seeds, activation_bits=resolution_bits, executor=executor,
         precision=policy, ideal_accuracy=ideal,
     )
     return FPVMonteCarloAblation(uncompensated=uncompensated, compensated=compensated)
@@ -236,7 +237,7 @@ def fpv_monte_carlo_ablation(
 def run(
     include_drift_accuracy: bool = True,
     include_fpv_monte_carlo: bool = False,
-    n_workers: int | None = None,
+    executor: SweepExecutor | None = None,
     precision=None,
 ) -> AblationResult:
     """Run every ablation study (the accuracy ones train a model)."""
@@ -245,7 +246,7 @@ def run(
         drift_accuracy = drift_accuracy_ablation(precision=precision)
     fpv_monte_carlo = None
     if include_fpv_monte_carlo:
-        fpv_monte_carlo = fpv_monte_carlo_ablation(n_workers=n_workers, precision=precision)
+        fpv_monte_carlo = fpv_monte_carlo_ablation(executor=executor, precision=precision)
     return AblationResult(
         wavelength_reuse=wavelength_reuse_ablation(),
         bank_size_sweep=bank_size_ablation(),
@@ -374,7 +375,7 @@ def _study(config: AblationConfig, ctx: RunContext) -> tuple[AblationResult, str
     result = run(
         include_drift_accuracy=config.include_drift_accuracy,
         include_fpv_monte_carlo=config.include_fpv_monte_carlo,
-        n_workers=ctx.n_workers,
+        executor=ctx.executor,
         precision=config.precision,
     )
     return result, _render(result)

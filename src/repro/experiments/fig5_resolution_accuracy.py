@@ -182,17 +182,15 @@ def run(
     epochs: int = 6,
     n_train: int = 400,
     n_test: int = 200,
-    n_workers: int | None = None,
     executor: SweepExecutor | None = None,
     precision=None,
 ) -> list[AccuracyCurve]:
     """Accuracy-vs-resolution curves for the requested models.
 
     The per-model sweep points are independent (each trains its own model),
-    so ``n_workers > 1`` -- or a warm :class:`SweepExecutor` from a
-    multi-study session -- fans them out over a process pool.  ``precision``
-    selects the compute policy per :func:`run_for_model` (worker processes
-    receive the policy name).
+    so a warm :class:`SweepExecutor` from a multi-study session fans them
+    out over its process pool.  ``precision`` selects the compute policy
+    per :func:`run_for_model` (worker processes receive the policy name).
     """
     sweep = run_sweep(
         partial(
@@ -204,7 +202,6 @@ def run(
             precision=resolve_precision(precision).name,
         ),
         [{"model_index": int(index)} for index in model_indices],
-        n_workers=n_workers,
         executor=executor,
     )
     return list(sweep.values)
@@ -262,7 +259,6 @@ def _study(config: Fig5Config, ctx: RunContext) -> tuple[list[AccuracyCurve], st
         epochs=config.epochs,
         n_train=config.n_train,
         n_test=config.n_test,
-        n_workers=ctx.n_workers,
         executor=ctx.executor,
         precision=config.precision,
     )

@@ -20,8 +20,8 @@ from functools import partial
 
 from repro.arch.accelerator import CrossLightAccelerator
 from repro.arch.config import CrossLightConfig, design_space_geometries
+from repro.arch.metrics import aggregate
 from repro.nn.zoo import build_all_models
-from repro.sim.simulator import simulate_models
 from repro.sim.results import format_table
 from repro.sim.sweep import SweepExecutor, run_sweep
 from repro.study import RunContext, StudyConfig, experiment
@@ -87,23 +87,28 @@ class Fig6Result:
         raise KeyError(f"geometry {geometry} was not part of the sweep")
 
 
-def _evaluate_geometry(geometry, base: CrossLightConfig, models) -> DesignPoint:
+def _evaluate_geometry(geometry, base: CrossLightConfig, workloads) -> DesignPoint:
     """Evaluate one (N, K, n, m) geometry on the Table-I workloads.
 
-    Module-level so that :func:`run` can fan geometries out to a process
-    pool (``n_workers > 1``) via the sweep engine.
+    ``workloads`` holds one ``(model name, layer workloads)`` pair per
+    model: that is all the simulation reads, and it pickles to a few kB
+    where the models themselves (weights and gradient buffers) would be
+    hundreds of MB.  Module-level, so that :func:`run` can fan geometries
+    out over a :class:`~repro.sim.sweep.SweepExecutor`'s process pool.
     """
     n_size, k_size, n_units, m_units = geometry
     config = base.with_geometry(n_size, k_size, n_units, m_units)
     accelerator = CrossLightAccelerator(config=config)
-    aggregate = simulate_models(accelerator, models)
+    report = aggregate(
+        [accelerator.simulate_workloads(layers, name) for name, layers in workloads]
+    )
     return DesignPoint(
         conv_vector_size=n_size,
         fc_vector_size=k_size,
         n_conv_units=n_units,
         n_fc_units=m_units,
-        avg_fps=aggregate.avg_fps,
-        avg_epb_pj_per_bit=aggregate.avg_epb_pj_per_bit,
+        avg_fps=report.avg_fps,
+        avg_epb_pj_per_bit=report.avg_epb_pj_per_bit,
         area_mm2=accelerator.area_mm2(),
         power_w=accelerator.total_power_w,
     )
@@ -113,7 +118,6 @@ def run(
     geometries=None,
     area_budget_mm2: float = DEFAULT_AREA_BUDGET_MM2,
     models=None,
-    n_workers: int | None = None,
     executor: SweepExecutor | None = None,
 ) -> Fig6Result:
     """Evaluate every geometry of the sweep on the Table-I workloads.
@@ -125,21 +129,20 @@ def run(
     area_budget_mm2:
         Area envelope applied when selecting the best configuration.
     models:
-        Workload models; defaults to the four full-size Table-I models.
-    n_workers:
-        Passed to the sweep engine: ``> 1`` evaluates the (independent)
-        geometries on a process pool, ``None``/``0``/``1`` run serially.
+        Workload models keyed by index, as :func:`build_all_models`
+        returns them; defaults to the four full-size Table-I models.
     executor:
-        Optional warm :class:`SweepExecutor` (takes precedence over
-        ``n_workers``), so a multi-study session reuses one pool.
+        Optional warm :class:`SweepExecutor` that evaluates the
+        (independent) geometries on its process pool; ``None`` runs them
+        serially.
     """
     geometries = list(geometries) if geometries is not None else list(design_space_geometries())
     models = models or build_all_models()
+    workloads = tuple((model.name, model.workloads()) for model in models.values())
     base = CrossLightConfig.cross_opt_ted()
     sweep = run_sweep(
-        partial(_evaluate_geometry, base=base, models=models),
+        partial(_evaluate_geometry, base=base, workloads=workloads),
         [{"geometry": tuple(geometry)} for geometry in geometries],
-        n_workers=n_workers,
         executor=executor,
     )
     return Fig6Result(points=tuple(sweep.values), area_budget_mm2=area_budget_mm2)
@@ -218,7 +221,6 @@ def _study(config: Fig6Config, ctx: RunContext) -> tuple[Fig6Result, str]:
     result = run(
         geometries=geometries,
         area_budget_mm2=config.area_budget_mm2,
-        n_workers=ctx.n_workers,
         executor=ctx.executor,
     )
     return result, _render(result, max_rows=config.max_rows)

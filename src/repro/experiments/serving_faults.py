@@ -29,11 +29,14 @@ study is reproducible from one seed (traffic, faults, and fleet included).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.experiments.serving_study import build_accelerator, fleet_capacity_rps
+from repro.experiments.serving_study import (
+    _instrumented,
+    build_accelerator,
+    fleet_capacity_rps,
+)
 from repro.nn.zoo import build_model
 from repro.serve import (
     BatchPolicy,
@@ -260,7 +263,6 @@ def run(
     headroom_extra: int = 3,
     max_attempts: int = 3,
     seed: int = 0,
-    n_workers: int | None = None,
     executor: SweepExecutor | None = None,
     obs: "Observability | None" = None,
 ) -> ServingFaultsResult:
@@ -326,13 +328,10 @@ def run(
             )
         )
 
-    serial = executor is None and (n_workers is None or n_workers <= 1)
-    evaluate = (
-        functools.partial(evaluate_fault_scenario, obs=obs)
-        if obs is not None and serial
-        else evaluate_fault_scenario
+    sweep = run_sweep(
+        _instrumented(evaluate_fault_scenario, executor, obs),
+        points, executor=executor, obs=obs,
     )
-    sweep = run_sweep(evaluate, points, n_workers=n_workers, executor=executor, obs=obs)
     values = list(sweep.values)
     baseline = values[0]
     n_crash = len(mtbf_fractions) * len(mttr_fractions)
@@ -499,7 +498,6 @@ def _study(
         headroom_extra=config.headroom_extra,
         max_attempts=config.max_attempts,
         seed=ctx.seed,
-        n_workers=ctx.n_workers,
         executor=ctx.executor,
         obs=ctx.obs,
     )

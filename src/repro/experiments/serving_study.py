@@ -20,11 +20,11 @@ stream (:mod:`repro.serve`).  Three questions are answered, CrossLight
   stays bounded below it and diverges linearly above it, deterministically
   under a fixed seed.
 
-All sweeps fan out through :func:`repro.sim.sweep.run_sweep`, so
-``n_workers > 1`` parallelises the study across processes with identical
-results.  The fleets here are fault-free; the companion study
-:mod:`repro.experiments.serving_faults` stresses the same runtime with
-seeded crashes, thermal throttling, and drains.
+All sweeps fan out through :func:`repro.sim.sweep.run_sweep`, so a
+:class:`~repro.sim.sweep.SweepExecutor` parallelises the study across its
+worker processes with identical results.  The fleets here are fault-free;
+the companion study :mod:`repro.experiments.serving_faults` stresses the
+same runtime with seeded crashes, thermal throttling, and drains.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ def evaluate_policy(
     """Serve one Poisson scenario and reduce it to a :class:`ServingPoint`.
 
     Module-level and picklable, so every sweep of the study can fan it out
-    through :func:`repro.sim.sweep.run_sweep` with ``n_workers > 1``.
+    through :func:`repro.sim.sweep.run_sweep` over a
+    :class:`~repro.sim.sweep.SweepExecutor`.
     ``obs`` threads serving-level instrumentation through; it is only bound
     on serial sweeps (a pool worker would mutate an invisible pickled copy).
     """
@@ -211,7 +212,7 @@ class ServingStudyResult:
         raise KeyError(f"no saturation result for {accelerator!r}")
 
 
-def _instrumented(fn, n_workers, executor, obs):
+def _instrumented(fn, executor, obs):
     """Bind ``obs`` into a sweep's evaluation function when it runs serially.
 
     Pool workers mutate pickled registry copies the session never sees, so
@@ -219,8 +220,7 @@ def _instrumented(fn, n_workers, executor, obs):
     sweep layer itself (:func:`repro.sim.sweep.run_sweep`) still records
     chunk timings and pool utilisation either way.
     """
-    serial = executor is None and (n_workers is None or n_workers <= 1)
-    if obs is not None and serial:
+    if obs is not None and executor is None:
         return functools.partial(fn, obs=obs)
     return fn
 
@@ -233,7 +233,6 @@ def batch_size_sweep(
     model_index: int = 1,
     n_requests: int = 1500,
     seed: int = 0,
-    n_workers: int | None = None,
     executor: SweepExecutor | None = None,
     obs: "Observability | None" = None,
 ) -> tuple[ServingPoint, ...]:
@@ -265,8 +264,8 @@ def batch_size_sweep(
         )
     return tuple(
         run_sweep(
-            _instrumented(evaluate_policy, n_workers, executor, obs),
-            points, n_workers=n_workers, executor=executor, obs=obs,
+            _instrumented(evaluate_policy, executor, obs),
+            points, executor=executor, obs=obs,
         ).values
     )
 
@@ -279,7 +278,6 @@ def equal_load_comparison(
     model_index: int = 1,
     n_requests: int = 1500,
     seed: int = 0,
-    n_workers: int | None = None,
     executor: SweepExecutor | None = None,
     obs: "Observability | None" = None,
 ) -> tuple[tuple[ServingPoint, ...], float]:
@@ -305,8 +303,8 @@ def equal_load_comparison(
         seed=(seed,),
     )
     result = run_sweep(
-        _instrumented(evaluate_policy, n_workers, executor, obs),
-        points, n_workers=n_workers, executor=executor, obs=obs,
+        _instrumented(evaluate_policy, executor, obs),
+        points, executor=executor, obs=obs,
     )
     return tuple(result.values), rate
 
@@ -319,7 +317,6 @@ def saturation_sweep(
     model_index: int = 1,
     n_requests: int = 1200,
     seed: int = 0,
-    n_workers: int | None = None,
     executor: SweepExecutor | None = None,
     obs: "Observability | None" = None,
 ) -> tuple[SaturationResult, ...]:
@@ -350,8 +347,8 @@ def saturation_sweep(
             for fraction in fractions
         ]
         sweep = run_sweep(
-            _instrumented(evaluate_policy, n_workers, executor, obs),
-            points, n_workers=n_workers, executor=executor, obs=obs,
+            _instrumented(evaluate_policy, executor, obs),
+            points, executor=executor, obs=obs,
         )
         results.append(
             SaturationResult(
@@ -371,7 +368,6 @@ def run(
     model_index: int = 1,
     n_requests: int = 1500,
     seed: int = 0,
-    n_workers: int | None = None,
     executor: SweepExecutor | None = None,
     obs: "Observability | None" = None,
 ) -> ServingStudyResult:
@@ -382,7 +378,6 @@ def run(
         model_index=model_index,
         n_requests=n_requests,
         seed=seed,
-        n_workers=n_workers,
         executor=executor,
         obs=obs,
     )
@@ -391,7 +386,6 @@ def run(
         model_index=model_index,
         n_requests=n_requests,
         seed=seed,
-        n_workers=n_workers,
         executor=executor,
         obs=obs,
     )
@@ -400,7 +394,6 @@ def run(
         model_index=model_index,
         n_requests=max(600, n_requests // 2),
         seed=seed,
-        n_workers=n_workers,
         executor=executor,
         obs=obs,
     )
@@ -525,7 +518,6 @@ def _study(
         model_index=config.model_index,
         n_requests=config.n_requests,
         seed=ctx.seed,
-        n_workers=ctx.n_workers,
         executor=ctx.executor,
         obs=ctx.obs,
     )

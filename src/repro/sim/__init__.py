@@ -8,9 +8,9 @@
   concrete quantization/drift/FPV/crosstalk channels, ordered composition).
 * :mod:`repro.sim.photonic_inference` -- functional inference through a
   noise-channel stack, plus seeded Monte-Carlo accuracy sweeps.
-* :mod:`repro.sim.sweep` -- the unified parameter-sweep engine (grid/zip
-  spaces, per-point records, optional process-pool parallelism, memoization)
-  every experiment driver runs on.
+* :mod:`repro.sim.sweep` -- the unified parameter-sweep engine (grid
+  spaces, per-point records, one reusable process pool, memoization) every
+  experiment driver runs on.
 * :mod:`repro.sim.results` -- plain-text table formatting for reports.
 """
 
@@ -51,7 +51,6 @@ from repro.sim.sweep import (
     memoize,
     plan_chunks,
     run_sweep,
-    zipped,
 )
 from repro.sim.tracer import trace_model
 
@@ -81,7 +80,6 @@ __all__ = [
     "monte_carlo_accuracy",
     "plan_chunks",
     "run_sweep",
-    "zipped",
     "compare_accelerators",
     "default_accelerators",
     "format_ratio",

@@ -26,9 +26,10 @@ evaluated without touching the engine:
   A one-member engine over a caller-owned ``np.random.Generator`` is how
   functional serving runs each worker's device;
 * :func:`monte_carlo_accuracy` runs seeded FPV/crosstalk trials on the
-  ensemble path (``n_workers > 1`` spreads contiguous *seed chunks*, each
-  itself ensemble-vectorized, over a process pool) and reports mean/std
-  accuracy, as does :func:`accuracy_vs_residual_drift` for drift sweeps.
+  ensemble path (a :class:`~repro.sim.sweep.SweepExecutor` spreads
+  contiguous *seed chunks*, each itself ensemble-vectorized, over its
+  process pool) and reports mean/std accuracy, as does
+  :func:`accuracy_vs_residual_drift` for drift sweeps.
 
 This closes the loop of the paper's argument: the optimized MR design and the
 TED hybrid tuning keep the residual drift small, which keeps the imprinted
@@ -60,7 +61,7 @@ from repro.sim.noise import (
     default_noise_stack,
     ensemble_apply,
 )
-from repro.sim.sweep import plan_chunks, run_sweep
+from repro.sim.sweep import SweepExecutor, plan_chunks, run_sweep
 from repro.utils.validation import check_input_rows, check_positive_int
 
 
@@ -713,33 +714,6 @@ class MonteCarloAccuracy:
         return self.ideal_accuracy - self.mean_accuracy
 
 
-def _evaluate_seed_chunk(
-    seeds: tuple[int, ...],
-    model: Sequential,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    noise_stack: NoiseStack,
-    activation_bits: int | None,
-    batch_size: int,
-    ideal_accuracy: float,
-    member_chunk: int | None,
-    precision: str,
-) -> tuple[PhotonicInferenceResult, ...]:
-    """One contiguous seed chunk, ensemble-evaluated (picklable for pools)."""
-    return evaluate_ensemble(
-        model,
-        inputs,
-        labels,
-        noise_stack,
-        seeds=seeds,
-        activation_bits=activation_bits,
-        batch_size=batch_size,
-        precision=precision,
-        member_chunk=member_chunk,
-        ideal_accuracy=ideal_accuracy,
-    )
-
-
 def monte_carlo_accuracy(
     model: Sequential,
     inputs: np.ndarray,
@@ -748,7 +722,7 @@ def monte_carlo_accuracy(
     seeds=8,
     activation_bits: int | None = None,
     batch_size: int = 64,
-    n_workers: int | None = None,
+    executor: SweepExecutor | None = None,
     ideal_accuracy: float | None = None,
     member_chunk: int | None = None,
     precision=None,
@@ -764,11 +738,10 @@ def monte_carlo_accuracy(
     -- one fused forward pass per input batch with the weight realisations
     stacked along the ensemble axis -- instead of one pass per seed; at
     float64 the per-seed records are elementwise identical to evaluating
-    each seed alone.  ``n_workers > 1`` splits the seed list into contiguous
-    chunks and spreads the chunks (each itself ensemble-vectorized) over a
-    process pool; the pool remains the right tool for fanning out across
-    *datasets or models*, while within one dataset the ensemble axis does
-    the heavy lifting.
+    each seed alone.  With an ``executor`` the seed list splits into one
+    contiguous chunk per pool worker, each itself ensemble-vectorized; the
+    pool remains the right tool for fanning out across *datasets or models*,
+    while within one dataset the ensemble axis does the heavy lifting.
 
     Parameters
     ----------
@@ -784,9 +757,10 @@ def monte_carlo_accuracy(
         float; weight quantization belongs in the stack).
     batch_size:
         Forward-pass batch size.
-    n_workers:
-        Process-pool width for the seed-chunk fan-out (``None``/``0``/``1``
-        keep everything in-process on the ensemble path).
+    executor:
+        :class:`~repro.sim.sweep.SweepExecutor` whose pool the seed chunks
+        fan out over (``None`` keeps everything in-process on the ensemble
+        path).
     ideal_accuracy:
         Precomputed noiseless baseline shared across the trials (mirrors
         :meth:`EnsembleInferenceEngine.evaluate`); computed once via
@@ -796,59 +770,43 @@ def monte_carlo_accuracy(
         memory; defaults to :data:`DEFAULT_MEMBER_CHUNK`).
     precision:
         :class:`~repro.nn.backend.PrecisionPolicy` (or name) selecting the
-        compute precision; worker processes receive the policy name.
+        compute precision, in worker processes too.
 
     Returns
     -------
     MonteCarloAccuracy
         Per-seed records plus mean/std accuracy; deterministic for a fixed
-        seed list regardless of ``n_workers`` or ``member_chunk``.
+        seed list regardless of ``executor`` or ``member_chunk``.
     """
-    if n_workers is not None:
-        if isinstance(n_workers, bool) or not isinstance(n_workers, int):
-            raise TypeError(f"n_workers must be an int or None, got {n_workers!r}")
-        if n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
     seed_list = _seed_tuple(seeds, generators=False)
     inputs = check_input_rows(inputs)
-    policy = resolve_precision(precision)
     ideal = (
         float(ideal_accuracy)
         if ideal_accuracy is not None
         else ideal_model_accuracy(model, inputs, labels, batch_size=batch_size)
     )
-    if n_workers is not None and n_workers > 1 and len(seed_list) > 1:
-        chunks = plan_chunks(len(seed_list), n_chunks=n_workers)
+    evaluate = partial(
+        evaluate_ensemble,
+        model,
+        inputs,
+        labels,
+        noise_stack,
+        activation_bits=activation_bits,
+        batch_size=batch_size,
+        precision=resolve_precision(precision),
+        member_chunk=member_chunk,
+        ideal_accuracy=ideal,
+    )
+    if executor is not None:
+        chunks = plan_chunks(len(seed_list), n_chunks=executor.n_workers)
         sweep = run_sweep(
-            partial(
-                _evaluate_seed_chunk,
-                model=model,
-                inputs=inputs,
-                labels=labels,
-                noise_stack=noise_stack,
-                activation_bits=activation_bits,
-                batch_size=batch_size,
-                ideal_accuracy=ideal,
-                member_chunk=member_chunk,
-                precision=policy.name,
-            ),
+            evaluate,
             [{"seeds": tuple(seed_list[i] for i in chunk)} for chunk in chunks],
-            n_workers=n_workers,
+            executor=executor,
         )
         records = tuple(record for chunk_records in sweep.values for record in chunk_records)
     else:
-        records = evaluate_ensemble(
-            model,
-            inputs,
-            labels,
-            noise_stack,
-            seeds=seed_list,
-            activation_bits=activation_bits,
-            batch_size=batch_size,
-            precision=policy,
-            member_chunk=member_chunk,
-            ideal_accuracy=ideal,
-        )
+        records = evaluate(seeds=seed_list)
     return MonteCarloAccuracy(
         model=model.name,
         noise=noise_stack.describe(),

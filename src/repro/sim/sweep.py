@@ -5,15 +5,16 @@ power, bank size vs. resolution, a (N, K, n, m) design-space grid.  Before
 this module each experiment driver hand-rolled its own loop; they now all run
 on the same engine, which gives them, for free:
 
-* **declarative parameter spaces** -- :func:`grid` (cartesian product) and
-  :func:`zipped` (lock-step) build the point lists the drivers iterate;
+* **declarative parameter spaces** -- :func:`grid` (cartesian product)
+  builds the point lists the drivers iterate;
 * **per-point result records** -- :class:`SweepPoint` keeps the parameters
-  next to the value they produced, and :class:`SweepResult` offers columnar
-  access for building tables and figure series;
-* **optional process-pool parallelism** -- pass ``n_workers > 1`` to
-  :func:`run_sweep` to fan independent points out across processes (the
+  next to the value they produced, and :class:`SweepResult` returns the
+  values in sweep order;
+* **one process pool** -- pass a :class:`SweepExecutor` to :func:`run_sweep`
+  to fan independent points out across its warm worker processes (the
   evaluation function and its arguments must then be picklable, i.e.
-  module-level functions or :func:`functools.partial` over them);
+  module-level functions or :func:`functools.partial` over them); without
+  one the sweep runs serially in this process;
 * **memoization of expensive shared sub-results** -- :func:`memoize`
   (re-exported from :mod:`repro.utils.cache`) caches quantities many points
   share, such as thermal-crosstalk matrices and TED eigendecompositions
@@ -26,7 +27,7 @@ Example
 >>> result = run_sweep(lambda x, y: x * y, grid(x=(1, 2), y=(10, 20)))
 >>> result.values
 (10, 20, 20, 40)
->>> result.param("x")
+>>> [point.params["x"] for point in result]
 [1, 1, 2, 2]
 """
 
@@ -55,7 +56,6 @@ __all__ = [
     "memoize",
     "plan_chunks",
     "run_sweep",
-    "zipped",
 ]
 
 
@@ -134,22 +134,6 @@ def grid(**axes: Iterable[Any]) -> list[dict[str, Any]]:
     return [dict(zip(names, combo)) for combo in itertools.product(*values)]
 
 
-def zipped(**axes: Iterable[Any]) -> list[dict[str, Any]]:
-    """Lock-step combination of equally long named parameter axes.
-
-    ``zipped(a=(1, 2), b=(3, 4))`` yields ``a=1,b=3`` then ``a=2,b=4`` --
-    the sweep shape of paired series such as (pitch, measured drift).
-    """
-    if not axes:
-        raise ValueError("zipped requires at least one axis")
-    names = list(axes)
-    values = [list(axis) for axis in axes.values()]
-    lengths = {name: len(axis) for name, axis in zip(names, values)}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"zipped axes must have equal lengths, got {lengths}")
-    return [dict(zip(names, combo)) for combo in zip(*values)]
-
-
 # ---------------------------------------------------------------------- #
 # Result records
 # ---------------------------------------------------------------------- #
@@ -164,7 +148,7 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered collection of evaluated sweep points with columnar access."""
+    """Ordered collection of evaluated sweep points."""
 
     points: tuple[SweepPoint, ...]
 
@@ -179,14 +163,6 @@ class SweepResult:
         """Evaluation results in sweep order."""
         return tuple(point.value for point in self.points)
 
-    def param(self, name: str) -> list[Any]:
-        """The value of parameter ``name`` at each point, in sweep order."""
-        return [point.params[name] for point in self.points]
-
-    def param_array(self, name: str) -> np.ndarray:
-        """Like :meth:`param` but as a NumPy array (for figure series)."""
-        return np.asarray(self.param(name))
-
     def value_array(self, extract: Callable[[Any], Any] | None = None) -> np.ndarray:
         """The per-point values (optionally projected) as a NumPy array."""
         if extract is None:
@@ -197,37 +173,13 @@ class SweepResult:
 # ---------------------------------------------------------------------- #
 # Engine
 # ---------------------------------------------------------------------- #
-# The evaluation function is shipped to each worker process exactly once (via
-# the pool initializer) rather than re-pickled per point: sweep functions
-# often close over heavy shared state (workload models, configurations) that
-# would otherwise dominate the IPC cost of a parallel sweep.
-_WORKER_FN: Callable[..., Any] | None = None
-
-
-def _init_worker(fn: Callable[..., Any]) -> None:
-    """Install the sweep's evaluation function in a worker process."""
-    global _WORKER_FN
-    _WORKER_FN = fn
-
-
-def _evaluate_in_worker(params: dict[str, Any]) -> Any:
-    """Evaluate one point against the worker-resident function."""
-    assert _WORKER_FN is not None, "worker initializer did not run"
-    return _WORKER_FN(**params)
-
-
-def _evaluate_chunk(fn: Callable[..., Any], chunk: list[dict[str, Any]]) -> list[Any]:
-    """Evaluate a contiguous chunk of points in one worker task."""
-    return [fn(**point) for point in chunk]
-
-
-def _evaluate_chunk_timed(
+def _evaluate_chunk(
     fn: Callable[..., Any], chunk: list[dict[str, Any]]
 ) -> tuple[list[Any], float]:
-    """Like :func:`_evaluate_chunk`, also reporting the chunk's wall time.
+    """Evaluate a contiguous chunk of points in one worker task.
 
-    Used only when observability is enabled: the per-chunk busy time is what
-    the pool-utilisation gauge is computed from.
+    Also reports the chunk's wall time, from which the pool-utilisation
+    gauge is computed when observability is enabled.
     """
     t0 = time.perf_counter()
     values = [fn(**point) for point in chunk]
@@ -235,22 +187,20 @@ def _evaluate_chunk_timed(
 
 
 class SweepExecutor:
-    """A reusable process pool for repeated sweeps.
+    """The process pool every parallel sweep runs on.
 
-    :func:`run_sweep` builds (and tears down) a fresh
-    :class:`~concurrent.futures.ProcessPoolExecutor` per call, which is the
-    right default for one-off sweeps but makes workflows that issue *many*
-    sweeps -- Monte-Carlo studies per model, repeated drift scans, the
-    experiment drivers run back to back -- pay worker start-up every time.
-    A ``SweepExecutor`` owns one pool, created lazily on first use and kept
-    alive until :meth:`shutdown` (it is also a context manager), so repeated
-    ``run_sweep(..., executor=executor)`` calls reuse warm workers.
+    A ``SweepExecutor`` owns one
+    :class:`~concurrent.futures.ProcessPoolExecutor`, created lazily on first
+    use and kept alive until :meth:`shutdown` (it is also a context manager),
+    so the many sweeps of a session -- Monte-Carlo studies per model,
+    repeated drift scans, the experiment drivers run back to back -- reuse
+    warm workers instead of paying start-up each time.
+    :class:`~repro.study.runner.StudyRunner` holds one per session.
 
-    Because the pool outlives any single sweep, the evaluation function
-    cannot be installed once per worker the way :func:`run_sweep`'s private
-    pool does; instead points are batched into :func:`plan_chunks` chunks and
-    the function is shipped once per chunk (not once per point), keeping the
-    IPC overhead at ``O(n_workers)`` rather than ``O(n_points)``.
+    Because the pool outlives any single sweep, points are batched into
+    :func:`plan_chunks` chunks and the evaluation function is shipped once
+    per chunk (not once per point), keeping the IPC overhead at
+    ``O(n_workers)`` rather than ``O(n_points)``.
 
     Example
     -------
@@ -285,41 +235,36 @@ class SweepExecutor:
         histograms plus the ``sim.sweep.pool_utilisation`` gauge (summed
         chunk busy time over ``n_workers`` x elapsed wall time).
         """
-        registry = obs.metrics if obs is not None else None
         if len(point_params) <= 1:
             return [fn(**point) for point in point_params]
         pool = self._ensure_pool()
         # A few chunks per worker balances load without re-pickling fn often.
         chunks = plan_chunks(len(point_params), n_chunks=self.n_workers * 4)
-        if registry is None:
-            futures = [
-                pool.submit(_evaluate_chunk, fn, [point_params[i] for i in chunk])
-                for chunk in chunks
-            ]
-            return [value for future in futures for value in future.result()]
         t0 = time.perf_counter()
         futures = [
-            pool.submit(_evaluate_chunk_timed, fn, [point_params[i] for i in chunk])
+            pool.submit(_evaluate_chunk, fn, [point_params[i] for i in chunk])
             for chunk in chunks
         ]
         results = [future.result() for future in futures]
         elapsed_s = time.perf_counter() - t0
-        labels = obs.label()
-        chunk_hist = registry.histogram(
-            "sim.sweep.chunk_s", labels, help="wall time per pool chunk"
-        )
-        busy_s = 0.0
-        for _, chunk_elapsed_s in results:
-            chunk_hist.observe(chunk_elapsed_s)
-            busy_s += chunk_elapsed_s
-        registry.counter(
-            "sim.sweep.chunks", labels, help="pool chunks executed"
-        ).inc(len(chunks))
-        if elapsed_s > 0:
-            registry.gauge(
-                "sim.sweep.pool_utilisation", labels,
-                help="summed chunk busy time / (n_workers x elapsed wall time)",
-            ).set(busy_s / (self.n_workers * elapsed_s))
+        registry = obs.metrics if obs is not None else None
+        if registry is not None:
+            labels = obs.label()
+            chunk_hist = registry.histogram(
+                "sim.sweep.chunk_s", labels, help="wall time per pool chunk"
+            )
+            busy_s = 0.0
+            for _, chunk_elapsed_s in results:
+                chunk_hist.observe(chunk_elapsed_s)
+                busy_s += chunk_elapsed_s
+            registry.counter(
+                "sim.sweep.chunks", labels, help="pool chunks executed"
+            ).inc(len(chunks))
+            if elapsed_s > 0:
+                registry.gauge(
+                    "sim.sweep.pool_utilisation", labels,
+                    help="summed chunk busy time / (n_workers x elapsed wall time)",
+                ).set(busy_s / (self.n_workers * elapsed_s))
         return [value for values, _ in results for value in values]
 
     def shutdown(self) -> None:
@@ -338,7 +283,6 @@ class SweepExecutor:
 def run_sweep(
     fn: Callable[..., Any],
     params: Sequence[Mapping[str, Any]] | Iterable[Mapping[str, Any]],
-    n_workers: int | None = None,
     executor: SweepExecutor | None = None,
     obs: "Observability | None" = None,
 ) -> SweepResult:
@@ -347,24 +291,17 @@ def run_sweep(
     Parameters
     ----------
     fn:
-        Evaluation function, called as ``fn(**point)`` for each point.  For
-        ``n_workers > 1`` it must be picklable (a module-level function or a
+        Evaluation function, called as ``fn(**point)`` for each point.  With
+        an ``executor`` it must be picklable (a module-level function or a
         :func:`functools.partial` over one), as must its arguments and
         results.
     params:
-        Iterable of keyword dictionaries, typically built with :func:`grid`
-        or :func:`zipped`.
-    n_workers:
-        ``None``, ``0`` or ``1`` evaluate serially in this process (the
-        default, and the right choice for cheap points).  Values ``> 1``
-        fan the points out over a :class:`~concurrent.futures.\
-ProcessPoolExecutor` with at most that many workers; results still come
-        back in sweep order.
+        Iterable of keyword dictionaries, typically built with :func:`grid`.
     executor:
-        Optional persistent :class:`SweepExecutor`.  When given it takes
-        precedence over ``n_workers``: points run on the executor's warm
-        worker pool instead of a fresh per-sweep pool, which amortises pool
-        start-up across repeated sweeps.
+        ``None`` (the default, and the right choice for cheap points)
+        evaluates serially in this process.  A :class:`SweepExecutor` fans
+        the points out over its warm worker pool; results still come back
+        in sweep order.
     obs:
         Optional :class:`~repro.obs.Observability` bundle.  Metrics record
         points evaluated, per-point wall times (serial sweeps), per-chunk
@@ -385,21 +322,14 @@ ProcessPoolExecutor` with at most that many workers; results still come
             )
         point_params.append(dict(point))
 
-    if n_workers is not None:
-        if isinstance(n_workers, bool) or not isinstance(n_workers, int):
-            raise TypeError(f"n_workers must be an int or None, got {n_workers!r}")
-        if n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
-
     registry = obs.metrics if obs is not None else None
     tracer = obs.tracer if obs is not None else None
     sweep_start_s = tracer.wall_now() if tracer is not None else 0.0
     t0 = time.perf_counter()
 
-    serial = n_workers is None or n_workers <= 1 or len(point_params) <= 1
     if executor is not None:
         values = executor.map(fn, point_params, obs=obs)
-    elif serial and (registry is not None or tracer is not None):
+    elif registry is not None or tracer is not None:
         point_hist = (
             registry.histogram(
                 "sim.sweep.point_s", obs.label(),
@@ -422,14 +352,8 @@ ProcessPoolExecutor` with at most that many workers; results still come
                     start_s, elapsed_s, f"point {index}", pid, 1,
                     args={k: repr(v) for k, v in point.items()},
                 )
-    elif serial:
-        values = [fn(**point) for point in point_params]
     else:
-        max_workers = min(n_workers, len(point_params))
-        with ProcessPoolExecutor(
-            max_workers=max_workers, initializer=_init_worker, initargs=(fn,)
-        ) as pool:
-            values = list(pool.map(_evaluate_in_worker, point_params))
+        values = [fn(**point) for point in point_params]
 
     if registry is not None:
         labels = obs.label()
@@ -448,7 +372,7 @@ ProcessPoolExecutor` with at most that many workers; results still come
             sweep_start_s, time.perf_counter() - t0,
             f"sweep x{len(point_params)}",
             tracer.process("sim.sweep (wall)"), 0,
-            args={"points": len(point_params), "serial": serial and executor is None},
+            args={"points": len(point_params), "serial": executor is None},
         )
 
     return SweepResult(

@@ -36,6 +36,10 @@ class RunContext:
     exactly regardless of it.  The report envelope records the runner's
     seed either way.
 
+    ``executor`` is the session's warm process pool (``None`` when the
+    session runs serially); experiments pass it to every sweep they fan
+    out.
+
     ``obs`` carries the session's :class:`~repro.obs.Observability` bundle
     (``None`` when disabled); experiments thread it into serving runs and
     sweeps.  Instrumentation never changes a result, so experiments may
@@ -43,7 +47,6 @@ class RunContext:
     """
 
     seed: int = 0
-    n_workers: int | None = None
     executor: SweepExecutor | None = None
     obs: "Observability | None" = field(default=None, compare=False)
 
@@ -114,12 +117,7 @@ class StudyRunner:
 
     def context(self) -> RunContext:
         """The :class:`RunContext` experiments run under."""
-        return RunContext(
-            seed=self.seed,
-            n_workers=self.n_workers,
-            executor=self.executor,
-            obs=self.obs,
-        )
+        return RunContext(seed=self.seed, executor=self.executor, obs=self.obs)
 
     def _cache_snapshot(self) -> dict[str, tuple[int, int]]:
         """Per-function ``(hits, misses)`` read from the metrics registry."""

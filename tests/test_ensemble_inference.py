@@ -475,34 +475,26 @@ class TestChunkingAndDtype:
         )
         assert out.dtype == np.float32
 
-    def test_monte_carlo_rejects_invalid_n_workers(self, trained_compact_lenet, fpv_stack):
-        model, test_x, test_y = trained_compact_lenet
-        with pytest.raises(ValueError):
-            monte_carlo_accuracy(
-                model, test_x, test_y, fpv_stack, seeds=2, n_workers=-4
-            )
-        with pytest.raises(TypeError):
-            monte_carlo_accuracy(
-                model, test_x, test_y, fpv_stack, seeds=2, n_workers=2.5
-            )
-
     def test_parallel_seed_chunks_match_serial(self, trained_compact_lenet, fpv_stack):
         model, test_x, test_y = trained_compact_lenet
         serial = monte_carlo_accuracy(
             model, test_x, test_y, fpv_stack, seeds=5, activation_bits=8
         )
-        parallel = monte_carlo_accuracy(
-            model, test_x, test_y, fpv_stack, seeds=5, activation_bits=8, n_workers=2
-        )
+        with SweepExecutor(2) as executor:
+            parallel = monte_carlo_accuracy(
+                model, test_x, test_y, fpv_stack, seeds=5, activation_bits=8,
+                executor=executor,
+            )
         assert serial.accuracies == parallel.accuracies
 
     def test_float32_policy_reaches_pool_workers(self, trained_compact_lenet, fpv_stack):
         model, test_x, test_y = trained_compact_lenet
         kwargs = dict(seeds=5, activation_bits=8, precision="float32")
         serial = monte_carlo_accuracy(model, test_x, test_y, fpv_stack, **kwargs)
-        parallel = monte_carlo_accuracy(
-            model, test_x, test_y, fpv_stack, n_workers=2, **kwargs
-        )
+        with SweepExecutor(2) as executor:
+            parallel = monte_carlo_accuracy(
+                model, test_x, test_y, fpv_stack, executor=executor, **kwargs
+            )
         exact = monte_carlo_accuracy(
             model, test_x, test_y, fpv_stack, seeds=5, activation_bits=8
         )

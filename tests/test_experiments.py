@@ -7,6 +7,7 @@ reduced scale here; the benchmark harness runs them at full scale.
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.experiments import (
     table2_devices,
     table3_summary,
 )
+from repro.sim.sweep import run_sweep
 from repro.study import run_experiment
 
 
@@ -143,6 +145,20 @@ class TestFig6:
     def test_unknown_geometry_lookup_raises(self, small_sweep):
         with pytest.raises(KeyError):
             small_sweep.point_for((1, 2, 3, 4))
+
+    def test_pickled_sweep_function_stays_small(self, monkeypatch):
+        # A pool sweep pickles its function once per chunk: it must carry the
+        # full-size models' layer workloads, not the models themselves.
+        captured = []
+
+        def capture(fn, params, **kwargs):
+            captured.append(fn)
+            return run_sweep(fn, params, **kwargs)
+
+        monkeypatch.setattr(fig6_design_space, "run_sweep", capture)
+        fig6_design_space.run(geometries=[(20, 150, 100, 60)])
+        (fn,) = captured
+        assert len(pickle.dumps(fn)) < 1_000_000
 
 
 class TestFig7:

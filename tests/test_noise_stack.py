@@ -19,6 +19,7 @@ from repro.sim import (
     NoiseStack,
     QuantizationChannel,
     ResidualDriftChannel,
+    SweepExecutor,
     ThermalCrosstalkChannel,
     default_noise_stack,
     monte_carlo_accuracy,
@@ -273,9 +274,11 @@ class TestMonteCarloAccuracy:
         serial = monte_carlo_accuracy(
             model, test_x, test_y, fpv_stack, seeds=8, activation_bits=8
         )
-        parallel = monte_carlo_accuracy(
-            model, test_x, test_y, fpv_stack, seeds=8, activation_bits=8, n_workers=2
-        )
+        with SweepExecutor(2) as executor:
+            parallel = monte_carlo_accuracy(
+                model, test_x, test_y, fpv_stack, seeds=8, activation_bits=8,
+                executor=executor,
+            )
         assert parallel.accuracies == serial.accuracies
         assert parallel.seeds == serial.seeds
 

@@ -51,6 +51,7 @@ from repro.sim.noise import (
     ResidualDriftChannel,
 )
 from repro.sim.simulator import simulate_models
+from repro.sim.sweep import SweepExecutor
 from test_serve_merge_golden import FAULTY
 
 
@@ -798,12 +799,13 @@ class TestServingStudy:
         assert all(b < a for a, b in zip(energy, energy[1:]))
 
     def test_sweep_parallel_parity(self, crosslight_sweep):
-        parallel = serving_study.batch_size_sweep(
-            accelerators=("Cross_opt_TED",),
-            max_batches=(1, 2, 4, 8),
-            n_requests=500,
-            n_workers=2,
-        )
+        with SweepExecutor(2) as executor:
+            parallel = serving_study.batch_size_sweep(
+                accelerators=("Cross_opt_TED",),
+                max_batches=(1, 2, 4, 8),
+                n_requests=500,
+                executor=executor,
+            )
         assert parallel == crosslight_sweep
 
     def test_crosslight_dominates_on_energy_at_equal_load(self):

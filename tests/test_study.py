@@ -38,6 +38,7 @@ from repro.experiments import (
     table1_models,
     table2_devices,
 )
+from repro.sim import sweep as sweep_module
 from repro.study import (
     StudyConfig,
     StudyReport,
@@ -281,6 +282,28 @@ class TestStudyRunner:
         parallel = run_experiment("fig6", n_workers=2, geometries=flat)
         assert serial.to_text() == parallel.to_text()
         assert serial.records == parallel.records
+
+    def test_session_starts_one_pool(self, monkeypatch):
+        # Every fanned-out sweep of a session -- both Monte-Carlo studies of
+        # the ablation and the fig6 geometries -- runs on the runner's pool.
+        runs = (
+            ("ablation", {"include_fpv_monte_carlo": True}),
+            ("fig6", {"geometries": (20, 150, 100, 60, 10, 100, 50, 30)}),
+        )
+        with StudyRunner() as runner:
+            serial = [runner.run(name, **overrides).to_text() for name, overrides in runs]
+        pools = []
+        real_pool = sweep_module.ProcessPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            pools.append(kwargs)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", counting_pool)
+        with StudyRunner(n_workers=2) as runner:
+            parallel = [runner.run(name, **overrides).to_text() for name, overrides in runs]
+        assert len(pools) == 1
+        assert parallel == serial
 
     def test_invalid_runner_args(self):
         with pytest.raises(TypeError):

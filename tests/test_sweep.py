@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.sim.sweep import SweepPoint, SweepResult, grid, memoize, run_sweep, zipped
+from repro.sim.sweep import SweepExecutor, SweepPoint, SweepResult, grid, memoize, run_sweep
+from repro.study import StudyRunner
 from repro.utils.cache import CacheInfo
 
 
@@ -36,26 +37,12 @@ class TestGrid:
             grid()
 
 
-class TestZipped:
-    def test_lockstep_combination(self):
-        points = zipped(a=(1, 2), b=(3, 4))
-        assert points == [{"a": 1, "b": 3}, {"a": 2, "b": 4}]
-
-    def test_unequal_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            zipped(a=(1, 2), b=(3, 4, 5))
-
-    def test_no_axes_rejected(self):
-        with pytest.raises(ValueError):
-            zipped()
-
-
 class TestRunSweep:
     def test_serial_sweep_preserves_order_and_params(self):
         result = run_sweep(_product, grid(x=(1, 2), y=(10, 20)))
         assert isinstance(result, SweepResult)
         assert result.values == (10, 20, 20, 40)
-        assert result.param("x") == [1, 1, 2, 2]
+        assert [point.params["x"] for point in result] == [1, 1, 2, 2]
         assert [point.index for point in result] == [0, 1, 2, 3]
 
     def test_point_records_keep_params_next_to_value(self):
@@ -65,10 +52,9 @@ class TestRunSweep:
         assert point.params == {"x": 3, "y": 7}
         assert point.value == 21
 
-    def test_value_array_and_param_array(self):
-        result = run_sweep(_product, zipped(x=(1, 2, 3), y=(2, 2, 2)))
+    def test_value_array(self):
+        result = run_sweep(_product, grid(x=(1, 2, 3), y=(2,)))
         np.testing.assert_array_equal(result.value_array(), [2, 4, 6])
-        np.testing.assert_array_equal(result.param_array("x"), [1, 2, 3])
         np.testing.assert_array_equal(result.value_array(lambda v: v + 1), [3, 5, 7])
 
     def test_empty_sweep(self):
@@ -82,31 +68,39 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("n_workers", [None, 0, 1])
     def test_serial_worker_counts(self, n_workers):
-        result = run_sweep(_product, grid(x=(1, 2, 3)), n_workers=n_workers)
-        assert result.values == (1, 2, 3)
+        # A session width of at most one worker gives no executor, so the
+        # sweep runs in-process: a lambda (unpicklable) proves it.
+        with StudyRunner(n_workers=n_workers) as runner:
+            assert runner.executor is None
+            result = run_sweep(lambda x: x + 1, grid(x=(1, 2, 3)), executor=runner.executor)
+        assert result.values == (2, 3, 4)
 
     def test_process_pool_matches_serial(self):
         points = grid(x=(1, 2, 3, 4), y=(5,))
         serial = run_sweep(_product, points)
-        parallel = run_sweep(_product, points, n_workers=2)
+        with SweepExecutor(2) as executor:
+            parallel = run_sweep(_product, points, executor=executor)
         assert parallel.values == serial.values
 
     def test_more_workers_than_points(self):
-        result = run_sweep(_product, grid(x=(1, 2)), n_workers=16)
+        with SweepExecutor(4) as executor:
+            result = run_sweep(_product, grid(x=(1, 2)), executor=executor)
         assert result.values == (1, 2)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            run_sweep(_product, grid(x=(1, 2)), n_workers=-1)
+            SweepExecutor(-1)
 
     def test_non_int_workers_rejected(self):
         with pytest.raises(TypeError):
-            run_sweep(_product, grid(x=(1, 2)), n_workers=2.0)
+            SweepExecutor(2.0)
 
     def test_single_point_with_workers_stays_serial(self):
         # One point never justifies a pool; a lambda (unpicklable) proves the
         # engine did not ship it to a worker process.
-        result = run_sweep(lambda x: x + 1, [{"x": 41}], n_workers=4)
+        with SweepExecutor(4) as executor:
+            result = run_sweep(lambda x: x + 1, [{"x": 41}], executor=executor)
+            assert executor._pool is None
         assert result.values == (42,)
 
 
