@@ -53,7 +53,8 @@ def main() -> None:
     # 2. Progressively richer noise stacks.  Each stack is an ordered list of
     #    channels; monte_carlo_accuracy evaluates all seeded wafer draws as
     #    one fused ensemble (pass a SweepExecutor as executor to additionally
-    #    spread seed chunks over its process pool, or member_chunk to bound
+    #    spread seed chunks over its process pool, or member_chunk to set
+    #    how many members are perturbed and evaluated at once, which bounds
     #    peak memory).
     quantize = QuantizationChannel(bits=RESOLUTION_BITS)
     crosstalk = InterChannelCrosstalkChannel(mrs_per_bank=15, calibration_rejection_db=20.0)

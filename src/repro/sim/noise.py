@@ -237,8 +237,9 @@ def _drifted_magnitudes(
     The change is the Lorentzian transmission at ``nominal_nm + drift_nm``
     minus the zero-drift one at ``nominal_nm`` (the caller's one
     ``mr.detuning_for_transmission(magnitudes)``), clipped to [0, 1] with the
-    magnitudes; it is accumulated in one buffer, since ensemble stacks of
-    these arrays set the peak memory of a Monte-Carlo run.
+    magnitudes; it is accumulated in one buffer, since a member chunk's
+    stack of these arrays is the largest noise-channel intermediate of a
+    Monte-Carlo run (the ensemble engine perturbs one chunk at a time).
     """
     perturbed = mr.transmission_at_detuning(nominal_nm + drift_nm)
     perturbed -= mr.transmission_at_detuning(nominal_nm)

@@ -20,9 +20,11 @@ evaluated without touching the engine:
   :func:`~repro.sim.noise.ensemble_apply` on one shared row, every
   Dense/Conv2D layer runs one stacked GEMM over the ``(E, ...)`` weight
   axis, and im2col patch matrices are computed once per input batch and
-  shared across members -- with chunking over the member and batch axes to
-  bound peak memory and an opt-in float32 compute mode.  At float64 the ensemble is elementwise
-  identical to evaluating each member alone with a sequential forward pass.
+  shared across members -- with chunking over the member and batch axes
+  (each member chunk's weights are perturbed just before its forward
+  passes, so peak memory does not grow with E) and an opt-in float32
+  compute mode.  At float64 the ensemble is elementwise identical to
+  evaluating each member alone with a sequential forward pass.
   A one-member engine over a caller-owned ``np.random.Generator`` is how
   functional serving runs each worker's device;
 * :func:`monte_carlo_accuracy` runs seeded FPV/crosstalk trials on the
@@ -51,9 +53,9 @@ from collections.abc import Iterable, Sequence as SequenceABC
 from functools import partial
 
 from repro.nn.backend import resolve_precision
-from repro.nn.layers import BatchNorm, Conv2D, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
+from repro.nn.layers import BatchNorm, Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Sigmoid, Tanh
 from repro.nn.model import Sequential
-from repro.nn.quantization import capture_parameters, quantize_array_stack
+from repro.nn.quantization import quantize_array_stack
 from repro.sim.noise import (
     NoiseStack,
     QuantizationChannel,
@@ -133,11 +135,13 @@ def _seed_tuple(seeds, *, generators: bool) -> tuple:
 #: merging the leading axes first (Dropout is an inference-mode no-op).
 _ELEMENTWISE_LAYERS = (ReLU, Sigmoid, Tanh, Dropout)
 
-#: Members evaluated simultaneously when ``member_chunk`` is not given.
-#: Bounding the default keeps peak activation memory flat in the ensemble
-#: size (the old per-seed loop was constant-memory; an unbounded default
-#: would make ``seeds=512`` allocate 512x activations), while one chunk of
-#: this size already captures the fusion win of the benchmark workloads.
+#: Members perturbed and evaluated together when ``member_chunk`` is not
+#: given.  One chunk's weight stacks, noise-channel intermediates and
+#: activations are all that is resident, so bounding the default keeps peak
+#: memory flat in the ensemble size (an unbounded default would make
+#: ``seeds=512`` hold 512 weight realisations and activations at once),
+#: while one chunk of this size already captures the fusion win of the
+#: benchmark workloads.
 DEFAULT_MEMBER_CHUNK = 16
 
 
@@ -155,7 +159,8 @@ class EnsembleInferenceEngine:
       :func:`~repro.sim.noise.ensemble_apply` on one shared weight row when
       all members share one stack (heterogeneous per-member stacks fall
       back to a per-member loop for the perturbation only -- the forward
-      passes stay fused);
+      passes stay fused), one member chunk at a time, just before that
+      chunk's forward passes;
     * every Dense/Conv2D layer executes one stacked GEMM over the
       ``(E, ...)`` weight axis (:meth:`~repro.nn.layers.Dense.\
 forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
@@ -178,7 +183,9 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     output quantized to its activation resolution; ``precision="float32"`` is
     an opt-in compute mode that halves peak memory at a small numerical
     tolerance.  ``member_chunk`` bounds how many members are resident at
-    once (peak activation memory scales with ``member_chunk * batch_size``).
+    once: a chunk's weight stacks, the noise channels' intermediates and its
+    activations (which scale with ``member_chunk * batch_size``) are freed
+    before the next chunk, so peak memory is flat in the ensemble size.
 
     Parameters
     ----------
@@ -191,9 +198,11 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         explicit sequence of integers and ``np.random.Generator`` objects.
         An integer member replays its stream on every :meth:`predict`; a
         Generator member continues its stream, so successive calls draw
-        fresh realisations.  With per-member stacks the length must match;
-        repeating one seed across members replays the same random draws
-        against each stack (the drift-sweep convention).
+        fresh realisations (give each member its own Generator: one shared
+        by several members would interleave their draws in an order that
+        depends on ``member_chunk``).  With per-member stacks the length
+        must match; repeating one seed across members replays the same
+        random draws against each stack (the drift-sweep convention).
     activation_bits:
         Inter-layer activation resolution: one value for all members or a
         per-member sequence (``None`` keeps activations in float).
@@ -202,9 +211,9 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         ``"float64"`` / ``"float32"``) selecting the compute precision and
         its documented tolerance contract.
     member_chunk:
-        Maximum members evaluated simultaneously; defaults to
-        :data:`DEFAULT_MEMBER_CHUNK` so peak activation memory stays flat
-        in the ensemble size (results are chunk-invariant).
+        Maximum members perturbed and evaluated together; defaults to
+        :data:`DEFAULT_MEMBER_CHUNK` so peak memory stays flat in the
+        ensemble size (results are chunk-invariant).
     """
 
     def __init__(
@@ -288,20 +297,31 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     # ------------------------------------------------------------------ #
     # Weight perturbation
     # ------------------------------------------------------------------ #
-    def perturbed_weight_stacks(self, model: Sequential) -> dict[int, np.ndarray]:
-        """Per-layer ``(E, *weight.shape)`` stacks of perturbed weights.
+    def perturbed_weight_stacks(
+        self, model: Sequential, members: range | None = None
+    ) -> dict[int, np.ndarray]:
+        """Per-layer ``(len(members), *weight.shape)`` stacks of perturbed weights.
 
+        ``members`` is a range of member indices (``None``: all members);
+        row ``i`` of every stack belongs to member ``members[i]``, so the
+        stacks of ``range(a, b)`` equal rows ``a:b`` of the full call.
         Layers are perturbed in model order and member ``e`` consumes the
         ``default_rng(seeds[e])`` stream (a fresh one for an integer seed,
         the Generator itself otherwise), so the stacks are elementwise
-        identical to E independent sweeps of
+        identical to independent sweeps of
         :meth:`~repro.sim.noise.NoiseStack.apply` over the model's weights.
+        The weights are read in place through read-only views (channels
+        must not mutate their input), so nothing is copied per call.
         """
-        rngs = [np.random.default_rng(seed) for seed in self.seeds]
-        base = capture_parameters(model, param_names=("weight",))
+        if members is None:
+            members = range(self.n_members)
+        rngs = [np.random.default_rng(self.seeds[member]) for member in members]
         stacks: dict[int, np.ndarray] = {}
-        for index, params in base.items():
-            weight = params["weight"]
+        for index, layer in enumerate(model.layers):
+            if not isinstance(layer, (Conv2D, Dense)):
+                continue
+            weight = layer.weight.view()
+            weight.flags.writeable = False
             if self._shared_stack is not None:
                 stacked = ensemble_apply(self._shared_stack, weight[None], rngs)
                 # A deterministic stack keeps the shared row, and a channel may
@@ -311,8 +331,8 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
             else:
                 stacked = np.stack(
                     [
-                        np.asarray(stack.apply(weight, rng), dtype=float)
-                        for stack, rng in zip(self._member_stacks, rngs)
+                        np.asarray(self._member_stacks[member].apply(weight, rng), dtype=float)
+                        for member, rng in zip(members, rngs)
                     ]
                 )
             stacks[index] = stacked.astype(self._dtype, copy=False)
@@ -373,8 +393,10 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
     ) -> np.ndarray:
         """Forward one member chunk over one input batch.
 
-        Activations stay *shared* (one ``(N, ...)`` array) until the first
-        noisy layer, then become *stacked* (``(E_chunk, N, ...)``).  Shared
+        ``layer_stacks`` holds the chunk's own perturbed weights
+        (:meth:`perturbed_weight_stacks` over ``members``).  Activations
+        stay *shared* (one ``(N, ...)`` array) until the first noisy
+        layer, then become *stacked* (``(E_chunk, N, ...)``).  Shared
         activations and im2col patch matrices are memoized in ``cache``
         across member chunks of the same batch, keyed by the chunk's
         activation resolution -- :meth:`_member_chunks` guarantees every
@@ -416,16 +438,15 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
                     x = shared
                 continue
 
-            chunk_weights = weight_stack[members.start : members.stop]
             if not stacked and isinstance(layer, Conv2D):
                 key = ("cols", index, bits)
                 cols = cache.get(key)
                 if cols is None:
                     cols = layer.lower(x)
                     cache[key] = cols
-                x = layer.forward_ensemble(x, chunk_weights, cols=cols)
+                x = layer.forward_ensemble(x, weight_stack, cols=cols)
             else:
-                x = layer.forward_ensemble(x, chunk_weights)
+                x = layer.forward_ensemble(x, weight_stack)
             stacked = True
             x = self._cast(self._quantize_stacked(x, bits))
 
@@ -439,32 +460,34 @@ forward_ensemble` / :meth:`~repro.nn.layers.Conv2D.forward_ensemble`);
         """Logits of every ensemble member: shape ``(E, N, n_classes)``.
 
         Member ``e`` matches a sequential forward pass of that member alone
-        (see the class docstring) elementwise at float64.
+        (see the class docstring) elementwise at float64.  The loop is
+        chunk-outer: each member chunk's weights are perturbed just before
+        its forward passes over every input batch and dropped after them.
         """
         check_positive_int("batch_size", batch_size)
         inputs = check_input_rows(inputs)
-        layer_stacks = self.perturbed_weight_stacks(model)
         model.eval()
         chunks = self._member_chunks()
         chunk_bits = [self.activation_bits[members.start] for members in chunks]
         last_chunk = {bits: position for position, bits in enumerate(chunk_bits)}
-        outputs = []
-        for start in range(0, inputs.shape[0], batch_size):
-            batch = inputs[start : start + batch_size]
-            cache: dict = {}
-            parts = []
-            for position, (members, bits) in enumerate(zip(chunks, chunk_bits)):
-                parts.append(
-                    self._forward_members(model, layer_stacks, batch, members, cache)
-                )
+        # One shared-prefix cache per input batch, kept across member chunks.
+        caches = {start: {} for start in range(0, inputs.shape[0], batch_size)}
+        logits = None
+        for position, (members, bits) in enumerate(zip(chunks, chunk_bits)):
+            layer_stacks = self.perturbed_weight_stacks(model, members)
+            for start, cache in caches.items():
+                batch = inputs[start : start + batch_size]
+                out = self._forward_members(model, layer_stacks, batch, members, cache)
+                if logits is None:
+                    logits = np.empty((self.n_members, inputs.shape[0], *out.shape[2:]), out.dtype)
+                logits[members.start : members.stop, start : start + batch.shape[0]] = out
                 if last_chunk[bits] == position:
                     # Every cache key ends in its resolution: free this one's prefix.
                     for key in [key for key in cache if key[-1] == bits]:
                         del cache[key]
-            outputs.append(
-                parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-            )
-        return np.concatenate(outputs, axis=1)
+            # Free this chunk's weights before the next chunk perturbs its own.
+            del layer_stacks
+        return logits
 
     def evaluate(
         self,
@@ -766,8 +789,8 @@ def monte_carlo_accuracy(
         :meth:`EnsembleInferenceEngine.evaluate`); computed once via
         :func:`ideal_model_accuracy` when omitted.
     member_chunk:
-        Maximum seeds evaluated simultaneously per process (bounds peak
-        memory; defaults to :data:`DEFAULT_MEMBER_CHUNK`).
+        Maximum seeds perturbed and evaluated together per process
+        (bounds peak memory; defaults to :data:`DEFAULT_MEMBER_CHUNK`).
     precision:
         :class:`~repro.nn.backend.PrecisionPolicy` (or name) selecting the
         compute precision, in worker processes too.

@@ -398,15 +398,82 @@ class TestChunkingAndDtype:
     def test_member_chunking_is_exact(
         self, trained_compact_lenet, fpv_stack, member_chunk
     ):
+        """Every member chunk runs over every input batch, stitched exactly."""
         model, test_x, _ = trained_compact_lenet
-        seeds = list(range(5))
-        unchunked = EnsembleInferenceEngine(fpv_stack, seeds, activation_bits=8)
-        chunked = EnsembleInferenceEngine(
+        inputs, seeds = test_x[:40], [4, 5, 6, 7, 8]
+        engine = EnsembleInferenceEngine(
             fpv_stack, seeds, activation_bits=8, member_chunk=member_chunk
         )
-        np.testing.assert_array_equal(
-            chunked.predict(model, test_x), unchunked.predict(model, test_x)
+        reference = _sequential_logits(model, inputs, fpv_stack, seeds, 8, batch_size=16)
+        np.testing.assert_array_equal(engine.predict(model, inputs, batch_size=16), reference)
+
+    def test_resolution_change_mid_ensemble_matches_sequential(
+        self, trained_compact_lenet, fpv_stack
+    ):
+        model, test_x, _ = trained_compact_lenet
+        inputs, bits = test_x[:40], [8, 8, 8, 4, 4, 16]
+        engine = EnsembleInferenceEngine(
+            fpv_stack, range(6), activation_bits=bits, member_chunk=2
         )
+        reference = np.stack(
+            [
+                sequential_logits(model, inputs, fpv_stack, seed, member_bits, batch_size=16)
+                for seed, member_bits in enumerate(bits)
+            ]
+        )
+        np.testing.assert_array_equal(engine.predict(model, inputs, batch_size=16), reference)
+
+    def test_per_member_stacks_match_sequential(self, trained_compact_lenet):
+        model, test_x, _ = trained_compact_lenet
+        inputs = test_x[:40]
+        stacks = [default_noise_stack(8, drift) for drift in (0.0, 0.1, 0.3, 0.5, 1.0)]
+        seeds = [3, 3, 4, 5, 3]
+        engine = EnsembleInferenceEngine(stacks, seeds, activation_bits=8, member_chunk=2)
+        reference = np.stack(
+            [
+                sequential_logits(model, inputs, stack, seed, 8, batch_size=16)
+                for stack, seed in zip(stacks, seeds)
+            ]
+        )
+        np.testing.assert_array_equal(engine.predict(model, inputs, batch_size=16), reference)
+
+    def test_generator_members_continue_across_chunked_predicts(
+        self, trained_compact_lenet, fpv_stack
+    ):
+        model, test_x, _ = trained_compact_lenet
+        inputs = test_x[:40]
+        engine = EnsembleInferenceEngine(
+            fpv_stack,
+            [np.random.default_rng(seed) for seed in (7, 8, 9)],
+            activation_bits=8,
+            member_chunk=2,
+        )
+        references = [np.random.default_rng(seed) for seed in (7, 8, 9)]
+        for _ in range(2):
+            expected = np.stack(
+                [
+                    sequential_logits(model, inputs, fpv_stack, rng, 8, batch_size=16)
+                    for rng in references
+                ]
+            )
+            np.testing.assert_array_equal(
+                engine.predict(model, inputs, batch_size=16), expected
+            )
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-member"])
+    def test_member_range_stacks_are_rows_of_the_full_call(
+        self, trained_compact_lenet, fpv_stack, shared
+    ):
+        model, _, _ = trained_compact_lenet
+        stacks = fpv_stack if shared else [default_noise_stack(8, 0.1 * e) for e in range(6)]
+        engine = EnsembleInferenceEngine(stacks, range(6))
+        full = engine.perturbed_weight_stacks(model)
+        assert full.keys() == engine.perturbed_weight_stacks(model, range(6)).keys()
+        for a, b in [(0, 2), (2, 5), (5, 6)]:
+            part = engine.perturbed_weight_stacks(model, range(a, b))
+            assert part.keys() == full.keys()
+            for index, stacked in part.items():
+                np.testing.assert_array_equal(stacked, full[index][a:b])
 
     def test_batch_chunking_is_exact(self, trained_compact_lenet, fpv_stack):
         """Splitting the batch axis must not change any member's logits.
@@ -452,13 +519,46 @@ class TestChunkingAndDtype:
         second = np.array([0, 2, 0])  # same shape, sum, |sum|, and ramp-dot
         assert _array_fingerprint(first) != _array_fingerprint(second)
 
-    def test_default_member_chunk_bounds_residency(self, fpv_stack):
+    def test_ensemble_memory_is_flat_in_members(self, trained_compact_lenet):
+        """Peak memory is set by one member chunk, not by the ensemble size.
+
+        Each chunk's weights are perturbed just before its forward passes, so
+        a 4x larger ensemble may not raise the traced peak by 4x (the
+        perturb-everything-first loop order read about 4x here).
+        """
+        import tracemalloc
+
         from repro.sim.photonic_inference import DEFAULT_MEMBER_CHUNK
 
-        engine = EnsembleInferenceEngine(fpv_stack, seeds=3 * DEFAULT_MEMBER_CHUNK)
+        model, test_x, test_y = trained_compact_lenet
+        inputs, labels = test_x[:32], test_y[:32]
+        stack = NoiseStack(
+            [
+                QuantizationChannel(bits=8),
+                FPVDriftChannel(residual_fraction=0.01),
+                ThermalCrosstalkChannel(coupling_scale=0.01),
+                InterChannelCrosstalkChannel(calibration_rejection_db=25.0),
+            ]
+        )
+        engine = EnsembleInferenceEngine(stack, seeds=3 * DEFAULT_MEMBER_CHUNK)
         chunks = engine._member_chunks()
         assert max(len(chunk) for chunk in chunks) == DEFAULT_MEMBER_CHUNK
         assert [i for chunk in chunks for i in chunk] == list(range(engine.n_members))
+
+        def traced_peak(n_members):
+            tracemalloc.start()
+            try:
+                monte_carlo_accuracy(
+                    model, inputs, labels, stack, seeds=n_members,
+                    activation_bits=8, ideal_accuracy=0.5,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = traced_peak(4 * DEFAULT_MEMBER_CHUNK)
+        large = traced_peak(16 * DEFAULT_MEMBER_CHUNK)
+        assert large / small < 1.25, (small, large)
 
     def test_float32_bias_does_not_upcast(self, rng):
         """Biased layer ensembles stay in float32 (the mode's memory story)."""
@@ -533,7 +633,7 @@ class TestEngineValidation:
         monkeypatch.setattr(
             EnsembleInferenceEngine,
             "perturbed_weight_stacks",
-            lambda self, model: perturbed.append(model) or {},
+            lambda self, model, members=None: perturbed.append(model) or {},
         )
         engine = EnsembleInferenceEngine(fpv_stack, seeds=2, activation_bits=8)
         calls = [
