@@ -1,8 +1,8 @@
 """Benchmark: ablation studies of CrossLight's individual design choices.
 
-Not a paper figure, but the natural decomposition of the paper's contribution
-that DESIGN.md calls out: wavelength reuse, bank sizing, hybrid tuning
-latency, and the accuracy impact of uncompensated drift, each isolated.
+Not a paper figure, but the natural decomposition of the paper's contribution:
+wavelength reuse, bank sizing, hybrid tuning latency, and the accuracy impact
+of uncompensated drift, each isolated.
 """
 
 from __future__ import annotations

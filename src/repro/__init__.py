@@ -5,8 +5,8 @@ Cross-Layer Optimized Silicon Photonic Neural Network Accelerator*
 (Sunny, Mirza, Nikdast, Pasricha -- DAC 2021).  It contains:
 
 * :mod:`repro.devices` -- silicon photonic / optoelectronic device models
-  (microrings, microdisks, waveguides, lasers, photodetectors, modulators,
-  converters) with the paper's Table II parameters and loss budget;
+  (microrings, microdisks, waveguides, lasers, converters) with the paper's
+  Table II parameters and loss budget;
 * :mod:`repro.variations` -- fabrication-process-variation and thermal
   crosstalk models, including a finite-difference heat solver standing in
   for Lumerical HEAT and the waveguide-width design-space exploration;

@@ -51,11 +51,6 @@ class PowerBreakdown:
             + self.control_w
         )
 
-    @property
-    def tuning_w(self) -> float:
-        """Combined static + dynamic tuning power."""
-        return self.tuning_static_w + self.tuning_dynamic_w
-
     def as_dict(self) -> dict[str, float]:
         """Component powers as a plain dictionary (for reports and tests)."""
         return {

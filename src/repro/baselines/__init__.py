@@ -11,7 +11,6 @@ from repro.baselines.electronic import (
     ELECTRONIC_PLATFORMS,
     PAPER_PHOTONIC_REFERENCE,
     ElectronicPlatform,
-    electronic_platform,
 )
 from repro.baselines.holylight import HolyLightAccelerator
 
@@ -21,5 +20,4 @@ __all__ = [
     "ElectronicPlatform",
     "HolyLightAccelerator",
     "PAPER_PHOTONIC_REFERENCE",
-    "electronic_platform",
 ]

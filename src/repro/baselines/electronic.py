@@ -46,17 +46,8 @@ ELECTRONIC_PLATFORMS: tuple[ElectronicPlatform, ...] = (
 )
 
 
-def electronic_platform(name: str) -> ElectronicPlatform:
-    """Look up a platform by (case-insensitive) name."""
-    for platform in ELECTRONIC_PLATFORMS:
-        if platform.name.lower() == name.lower():
-            return platform
-    raise KeyError(f"unknown electronic platform {name!r}")
-
-
 #: Paper-reported Table III values for the photonic accelerators, kept as
-#: reference targets for the reproduction experiments (EXPERIMENTS.md records
-#: measured-vs-paper for each).
+#: reference targets for the reproduction experiments.
 PAPER_PHOTONIC_REFERENCE: dict[str, dict[str, float]] = {
     "DEAP_CNN": {"avg_epb_pj_per_bit": 44453.88, "avg_kfps_per_watt": 0.07},
     "Holylight": {"avg_epb_pj_per_bit": 274.13, "avg_kfps_per_watt": 3.3},

@@ -26,6 +26,7 @@ from repro.utils.cache import memoize
 from repro.utils.validation import check_positive, check_positive_int
 
 
+# Kept as a test oracle: the scalar Eq. 8 the crosstalk-matrix tests compare against.
 def lorentzian_crosstalk(lambda_i_nm, lambda_j_nm, delta_nm) -> float | np.ndarray:
     """Crosstalk factor phi(i, j) between two ring channels (paper Eq. 8).
 

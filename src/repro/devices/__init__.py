@@ -9,8 +9,6 @@ This subpackage implements the device layer of the CrossLight stack:
 * :mod:`repro.devices.mr_bank` -- banks of MRs imprinting weight vectors.
 * :mod:`repro.devices.waveguide` -- waveguides, splitter trees, combiners.
 * :mod:`repro.devices.laser` -- laser sources and the Eq. 7 power model.
-* :mod:`repro.devices.photodetector` -- PDs, balanced PDs, TIAs, receivers.
-* :mod:`repro.devices.modulator` -- MZM activation modulators and VCSELs.
 * :mod:`repro.devices.microdisk` -- microdisks (HolyLight baseline substrate).
 * :mod:`repro.devices.transceiver` -- ADC/DAC converter channels.
 """
@@ -32,20 +30,10 @@ from repro.devices.constants import (
     PhotonicLosses,
     TuningParameters,
 )
-from repro.devices.laser import (
-    LaserSource,
-    required_laser_power_dbm,
-    required_laser_power_watt,
-)
+from repro.devices.laser import LaserSource, required_laser_power_dbm
 from repro.devices.microdisk import Microdisk
-from repro.devices.modulator import MachZehnderModulator, VCSELEmitter
 from repro.devices.mr import MicroringResonator
 from repro.devices.mr_bank import MRBank
-from repro.devices.photodetector import (
-    BalancedPhotodetector,
-    Photodetector,
-    TransimpedanceAmplifier,
-)
 from repro.devices.transceiver import (
     DataConverter,
     adc_channel,
@@ -55,7 +43,6 @@ from repro.devices.waveguide import Combiner, SplitterTree, Waveguide, waveguide
 
 __all__ = [
     "ActiveDeviceParameters",
-    "BalancedPhotodetector",
     "Combiner",
     "CONVENTIONAL_MR",
     "DataConverter",
@@ -63,7 +50,6 @@ __all__ = [
     "EO_TUNING",
     "LASER_WALL_PLUG_EFFICIENCY",
     "LaserSource",
-    "MachZehnderModulator",
     "Microdisk",
     "MicroringResonator",
     "MRBank",
@@ -71,20 +57,16 @@ __all__ = [
     "OPTIMIZED_MR",
     "PD_SENSITIVITY_DBM",
     "PHOTODETECTOR",
-    "Photodetector",
     "PhotonicLosses",
     "ROOM_TEMPERATURE_K",
     "SplitterTree",
     "TIA",
     "TO_TUNING",
-    "TransimpedanceAmplifier",
     "TuningParameters",
     "VCSEL",
-    "VCSELEmitter",
     "Waveguide",
     "adc_channel",
     "dac_channel",
     "required_laser_power_dbm",
-    "required_laser_power_watt",
     "waveguide_for_mr_chain",
 ]

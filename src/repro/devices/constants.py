@@ -188,6 +188,3 @@ SILICON_THERMO_OPTIC_COEFF_PER_K = 1.86e-4
 
 #: Approximate group index of a silicon strip waveguide at 1550 nm.
 SILICON_GROUP_INDEX = 4.2
-
-#: Effective index of a silicon strip waveguide at 1550 nm.
-SILICON_EFFECTIVE_INDEX = 2.4

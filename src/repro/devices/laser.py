@@ -57,19 +57,6 @@ def required_laser_power_dbm(
     return detector_sensitivity_dbm + photonic_loss_db + wdm_penalty_db
 
 
-def required_laser_power_watt(
-    photonic_loss_db: float,
-    n_wavelengths: int,
-    detector_sensitivity_dbm: float = PD_SENSITIVITY_DBM,
-) -> float:
-    """Minimum *optical* laser power in watts (convenience wrapper)."""
-    return dbm_to_watt(
-        required_laser_power_dbm(
-            photonic_loss_db, n_wavelengths, detector_sensitivity_dbm
-        )
-    )
-
-
 @dataclass(frozen=True)
 class LaserSource:
     """A laser bank driving one or more WDM wavelengths.

@@ -24,7 +24,6 @@ analytic Lorentzian captures.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ import numpy as np
 from repro.devices.constants import (
     CONVENTIONAL_MR,
     OPTIMIZED_MR,
-    SILICON_EFFECTIVE_INDEX,
     SILICON_GROUP_INDEX,
     SILICON_THERMO_OPTIC_COEFF_PER_K,
     MRDesignParameters,
@@ -299,11 +297,6 @@ class MicroringResonator:
     # ------------------------------------------------------------------ #
     # Geometry
     # ------------------------------------------------------------------ #
-    @property
-    def circumference_um(self) -> float:
-        """Physical circumference of the ring waveguide in micrometres."""
-        return 2.0 * math.pi * self.design.radius_um
-
     @property
     def footprint_um2(self) -> float:
         """Approximate layout footprint of the ring plus bus coupling region."""

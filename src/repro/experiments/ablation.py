@@ -1,8 +1,7 @@
 """Ablation studies of CrossLight's individual design choices.
 
 The paper evaluates its optimizations jointly through the four variants; this
-driver isolates them one at a time, which DESIGN.md calls out as the natural
-extension of the evaluation:
+driver isolates them one at a time:
 
 * **Wavelength reuse** (Section IV.C.3) -- compare the per-unit laser power
   of an FC-sized VDP unit with reuse (15 wavelengths shared across arms)

@@ -18,7 +18,6 @@ from repro.devices.constants import CONVENTIONAL_MR, OPTIMIZED_MR
 from repro.variations.design_space import (
     MRDesignCandidate,
     best_design,
-    drift_reduction_percent,
     explore_design_space,
 )
 from repro.variations.fpv import expected_fpv_drift_nm

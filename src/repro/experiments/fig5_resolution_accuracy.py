@@ -10,8 +10,8 @@ quantization).  The qualitative behaviour the paper highlights:
 * the STL-10 model is the most sensitive to low resolution.
 
 This driver trains the *compact* zoo models on the synthetic dataset
-stand-ins (the offline substitute for Sign-MNIST/CIFAR-10/STL-10/Omniglot --
-see DESIGN.md) through :func:`repro.nn.zoo.trained_model`, then evaluates
+stand-ins (the offline substitute for Sign-MNIST/CIFAR-10/STL-10/Omniglot)
+through :func:`repro.nn.zoo.trained_model`, then evaluates
 each model's whole resolution sweep as **one ensemble**: every bit width
 becomes a member of a single
 :class:`repro.sim.photonic_inference.EnsembleInferenceEngine` (a
@@ -67,11 +67,6 @@ class AccuracyCurve:
     model_name: str
     bits: tuple[int, ...]
     accuracy: tuple[float, ...]
-
-    @property
-    def full_precision_accuracy(self) -> float:
-        """Accuracy at the highest swept resolution."""
-        return self.accuracy[-1]
 
 
 def _classification_accuracies(

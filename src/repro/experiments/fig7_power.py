@@ -67,15 +67,6 @@ def run() -> list[PowerRow]:
     return rows
 
 
-def crosslight_variant_powers() -> dict[str, float]:
-    """Total power of the four CrossLight variants keyed by variant name."""
-    return {
-        row.name: row.power_w
-        for row in run()
-        if row.kind == "photonic (CrossLight)"
-    }
-
-
 def _render(rows: list[PowerRow]) -> str:
     """Render the Fig. 7 power comparison as a text table."""
     table = format_table(

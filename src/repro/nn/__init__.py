@@ -54,7 +54,6 @@ from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.quantization import (
     UniformQuantizer,
     capture_parameters,
-    quantization_aware_finetune,
     quantize_array,
     restore_parameters,
     swapped_parameters,
@@ -123,7 +122,6 @@ __all__ = [
     "model_spec",
     "omniglot_synthetic_pairs",
     "pair_accuracy",
-    "quantization_aware_finetune",
     "quantize_array",
     "resolve_precision",
     "sign_mnist_synthetic",

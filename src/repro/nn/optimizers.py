@@ -36,6 +36,7 @@ class Optimizer:
         raise NotImplementedError
 
 
+# Kept as a test reference: the optimizer tests compare momentum with plain descent.
 class SGD(Optimizer):
     """Stochastic gradient descent with optional classical momentum."""
 

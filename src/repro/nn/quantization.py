@@ -3,7 +3,8 @@
 The paper studies how inference accuracy degrades as the resolution of
 weights and activations is reduced from 16 bits down to 1 bit (Fig. 5),
 using QKeras quantization-aware training.  This module provides the
-equivalent machinery on the pure-NumPy substrate:
+quantizers on the pure-NumPy substrate (the Fig. 5 driver sweeps
+post-training quantization):
 
 * :class:`UniformQuantizer` -- symmetric uniform quantizer with a
   configurable bit width, used for both weights and activations;
@@ -11,11 +12,7 @@ equivalent machinery on the pure-NumPy substrate:
   helpers fitting the range to the data (per tensor, or per ensemble member);
 * :func:`capture_parameters` / :func:`restore_parameters` /
   :func:`swapped_parameters` -- the save/transform/restore machinery for
-  temporarily replacing Conv2D/Dense parameters (the fine-tuning pass
-  below; the ensemble inference engine captures the weights it perturbs);
-* :func:`quantization_aware_finetune` -- a light QAT pass (straight-through
-  estimator) that recovers part of the low-bit accuracy loss, mirroring the
-  paper's use of quantization-aware training "to maximize accuracy".
+  temporarily replacing Conv2D/Dense parameters.
 
 Quantized *inference* (weights and inter-layer activations) runs on the
 ensemble engine: a :class:`repro.sim.noise.QuantizationChannel` stack per
@@ -32,9 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn.layers import Conv2D, Dense
-from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
-from repro.nn.optimizers import Adam, Optimizer
 from repro.utils.validation import check_positive_int
 
 
@@ -84,11 +79,6 @@ class UniformQuantizer:
             values = values.astype(float)
         clipped = np.asarray(np.clip(values, -self.max_abs, self.max_abs))
         return _snap(clipped, clipped, self.max_abs, self.n_levels)
-
-    def quantization_error(self, values: np.ndarray) -> float:
-        """RMS error introduced by quantizing ``values``."""
-        values = np.asarray(values, dtype=float)
-        return float(np.sqrt(np.mean((self.quantize(values) - values) ** 2)))
 
 
 def _snap(values: np.ndarray, out: np.ndarray, max_abs: float, n_levels: int) -> np.ndarray:
@@ -206,6 +196,7 @@ def restore_parameters(model: Sequential, saved: dict[int, dict[str, np.ndarray]
             layer.parameters()[name][...] = value
 
 
+# Kept as a test oracle: the ensemble identity tests' one-realisation forward pass.
 @contextmanager
 def swapped_parameters(
     model: Sequential,
@@ -228,47 +219,3 @@ def swapped_parameters(
         yield model
     finally:
         restore_parameters(model, saved)
-
-
-def quantization_aware_finetune(
-    model: Sequential,
-    inputs: np.ndarray,
-    labels: np.ndarray,
-    bits: int,
-    epochs: int = 1,
-    batch_size: int = 32,
-    loss: Loss | None = None,
-    optimizer: Optimizer | None = None,
-    seed: int = 0,
-) -> None:
-    """Light quantization-aware fine-tuning with a straight-through estimator.
-
-    Each step quantizes every Conv2D/Dense parameter (biases included) for
-    the forward and backward pass, computes gradients as if the quantization
-    were the identity (straight-through), and applies the update to the
-    restored float parameters.  One or two epochs of this recovers a useful
-    fraction of the accuracy lost at moderate bit widths, mirroring the
-    paper's use of QAT (the Fig. 5 driver sweeps post-training
-    quantization).
-    """
-    check_positive_int("bits", bits)
-    check_positive_int("epochs", epochs)
-    loss = loss or SoftmaxCrossEntropy()
-    optimizer = optimizer or Adam(learning_rate=5e-4)
-    rng = np.random.default_rng(seed)
-
-    n_samples = inputs.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n_samples)
-        for start in range(0, n_samples, batch_size):
-            batch_idx = order[start : start + batch_size]
-            batch_x = inputs[batch_idx]
-            batch_y = labels[batch_idx]
-            model.train()
-            # Forward and backward with every parameter quantized.
-            with swapped_parameters(model, lambda p: quantize_array(p, bits)):
-                logits = model.forward(batch_x)
-                _, grad = loss(logits, batch_y)
-                model.backward(grad)
-            # Straight-through: apply the gradients to the float weights.
-            optimizer.step(model.layers)

@@ -163,46 +163,6 @@ class Tracer:
         """
         self._events.append(("counters", pid, tid, ts_s, names, values))
 
-    def async_begin(
-        self,
-        ts_s: float,
-        name: str,
-        cat: str,
-        correlation_id: int,
-        pid: int,
-        tid: int = 0,
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        """Open a nestable async ``b`` span correlated by ``(cat, id)``."""
-        self._events.append((ts_s * _US, "b", name, pid, tid, cat, correlation_id, args))
-
-    def async_end(
-        self,
-        ts_s: float,
-        name: str,
-        cat: str,
-        correlation_id: int,
-        pid: int,
-        tid: int = 0,
-    ) -> None:
-        """Close the matching async ``e`` span."""
-        self._events.append((ts_s * _US, "e", name, pid, tid, cat, correlation_id, None))
-
-    def async_span(
-        self,
-        start_s: float,
-        end_s: float,
-        name: str,
-        cat: str,
-        correlation_id: int,
-        pid: int,
-        tid: int = 0,
-        args: dict[str, Any] | None = None,
-    ) -> None:
-        """Emit a ``b``/``e`` pair for an extent known at emission time."""
-        self.async_begin(start_s, name, cat, correlation_id, pid, tid, args)
-        self.async_end(end_s, name, cat, correlation_id, pid, tid)
-
     def async_spans(self, pid: int, cat: str, starts_s, ends_s, names, ids, tids) -> None:
         """``b``/``e`` pairs of category ``cat`` from parallel sequences, in order.
 

@@ -435,11 +435,6 @@ class ServingReport:
         return sum(per_worker) / len(per_worker) if per_worker else 1.0
 
     @property
-    def failed_rate(self) -> float:
-        """Fraction of arrivals that terminally failed (retries exhausted)."""
-        return self.n_failed / self.n_arrivals if self.n_arrivals else 0.0
-
-    @property
     def shed_rate(self) -> float:
         """Fraction of arrivals rejected by admission control."""
         return self.n_shed / self.n_arrivals if self.n_arrivals else 0.0

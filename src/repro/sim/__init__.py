@@ -35,7 +35,7 @@ from repro.sim.photonic_inference import (
     ideal_model_accuracy,
     monte_carlo_accuracy,
 )
-from repro.sim.results import format_ratio, format_table
+from repro.sim.results import format_table
 from repro.sim.simulator import (
     ComparisonResult,
     compare_accelerators,
@@ -82,7 +82,6 @@ __all__ = [
     "run_sweep",
     "compare_accelerators",
     "default_accelerators",
-    "format_ratio",
     "format_table",
     "simulate_model",
     "simulate_models",

@@ -573,10 +573,6 @@ class NoiseStack(_EnsembleChannelMixin):
     def __iter__(self):
         return iter(self.channels)
 
-    def with_channel(self, channel: NoiseChannel) -> "NoiseStack":
-        """A new stack with ``channel`` appended (stacks are immutable)."""
-        return NoiseStack((*self.channels, channel))
-
     def apply_stacked(
         self, stacked: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:

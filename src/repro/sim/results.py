@@ -85,10 +85,3 @@ def to_jsonable(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     return str(value)
-
-
-def format_ratio(value: float, reference: float) -> str:
-    """Render ``reference / value`` as an 'x-times better' style ratio."""
-    if value <= 0 or reference <= 0:
-        raise ValueError("ratio operands must be positive")
-    return f"{reference / value:.1f}x"

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.devices.constants import TO_TUNING, TuningParameters
 from repro.utils.validation import check_non_negative, check_positive
 
@@ -68,13 +66,6 @@ class ThermoOpticTuner:
                 f"shift {shift:.2f} nm exceeds TO tuning range {self.range_nm:.2f} nm"
             )
         return self.parameters.power_for_shift_w(shift, self.fsr_nm)
-
-    def power_for_shifts_w(self, shifts_nm) -> np.ndarray:
-        """Vectorised heater power for an array of per-ring shifts."""
-        shifts = np.abs(np.asarray(shifts_nm, dtype=float))
-        if np.any(shifts > self.range_nm):
-            raise ValueError("one or more shifts exceed the TO tuning range")
-        return np.array([self.parameters.power_for_shift_w(s, self.fsr_nm) for s in shifts])
 
     def energy_for_shift_j(self, shift_nm: float, hold_time_s: float) -> float:
         """Energy to apply and hold a shift for ``hold_time_s`` seconds.

@@ -1,65 +1,13 @@
-"""Unit conversion helpers for photonic power and spectral quantities.
+"""Unit conversion helpers for photonic power.
 
-The CrossLight power model (paper Eq. 7) mixes logarithmic (dB / dBm) and
-linear (mW / W) quantities, and the device models work interchangeably in
-wavelength (nm / um) and optical frequency (THz).  Keeping the conversions in
-one module avoids the classic dB-vs-linear bookkeeping bugs that plague
-photonic link-budget code.
-
-All functions accept scalars or NumPy arrays and return the same kind.
+The CrossLight power model (paper Eq. 7) works out the laser power in dBm;
+the architecture power model adds it up in watts.  Both functions accept
+scalars or NumPy arrays and return the same kind.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Speed of light in micrometres per second.  Wavelengths in this project are
-#: expressed in micrometres (um) or nanometres (nm); optical frequencies in THz.
-C_UM_PER_S = 299_792_458.0 * 1e6
-
-#: Speed of light in metres per second.
-C_M_PER_S = 299_792_458.0
-
-
-def db_to_linear(value_db):
-    """Convert a loss/gain expressed in dB to a linear power ratio.
-
-    Parameters
-    ----------
-    value_db:
-        Gain in decibels.  Losses are negative gains; e.g. a 3 dB splitter
-        loss is ``db_to_linear(-3.0) ~= 0.5``.
-
-    Returns
-    -------
-    float or numpy.ndarray
-        The linear power ratio ``10 ** (value_db / 10)``.
-    """
-    return np.power(10.0, np.asarray(value_db, dtype=float) / 10.0)
-
-
-def linear_to_db(ratio):
-    """Convert a linear power ratio to decibels.
-
-    Parameters
-    ----------
-    ratio:
-        Strictly positive linear power ratio.
-
-    Returns
-    -------
-    float or numpy.ndarray
-        ``10 * log10(ratio)``.
-
-    Raises
-    ------
-    ValueError
-        If ``ratio`` is not strictly positive.
-    """
-    arr = np.asarray(ratio, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"linear power ratio must be > 0, got {ratio!r}")
-    return 10.0 * np.log10(arr)
 
 
 def dbm_to_mw(power_dbm):
@@ -67,45 +15,6 @@ def dbm_to_mw(power_dbm):
     return np.power(10.0, np.asarray(power_dbm, dtype=float) / 10.0)
 
 
-def mw_to_dbm(power_mw):
-    """Convert optical power from milliwatts to dBm.
-
-    Raises
-    ------
-    ValueError
-        If ``power_mw`` is not strictly positive (0 mW is -inf dBm, which is
-        never a meaningful laser/detector power in this model).
-    """
-    arr = np.asarray(power_mw, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"power in mW must be > 0, got {power_mw!r}")
-    return 10.0 * np.log10(arr)
-
-
 def dbm_to_watt(power_dbm):
     """Convert optical power from dBm to watts."""
     return dbm_to_mw(power_dbm) * 1e-3
-
-
-def watt_to_dbm(power_w):
-    """Convert optical power from watts to dBm."""
-    arr = np.asarray(power_w, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"power in W must be > 0, got {power_w!r}")
-    return mw_to_dbm(arr * 1e3)
-
-
-def wavelength_to_frequency_thz(wavelength_nm):
-    """Convert a free-space wavelength in nanometres to frequency in THz."""
-    arr = np.asarray(wavelength_nm, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"wavelength must be > 0 nm, got {wavelength_nm!r}")
-    return C_M_PER_S / (arr * 1e-9) / 1e12
-
-
-def frequency_to_wavelength_um(frequency_thz):
-    """Convert an optical frequency in THz to free-space wavelength in um."""
-    arr = np.asarray(frequency_thz, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"frequency must be > 0 THz, got {frequency_thz!r}")
-    return C_M_PER_S / (arr * 1e12) * 1e6

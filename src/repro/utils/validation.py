@@ -62,11 +62,6 @@ def check_in_range(name: str, value: float, low: float, high: float) -> float:
     return value
 
 
-def check_probability(name: str, value: float) -> float:
-    """Ensure ``value`` lies in the closed interval [0, 1]."""
-    return check_in_range(name, value, 0.0, 1.0)
-
-
 def check_input_rows(inputs: Any) -> np.ndarray:
     """``inputs`` as an array, or ``ValueError`` when it has no rows to evaluate."""
     inputs = np.asarray(inputs)

@@ -35,11 +35,7 @@ from repro.variations.heat_solver import (
     StackProperties,
     fit_decay_length_um,
 )
-from repro.variations.thermal import (
-    ThermalCrosstalkModel,
-    phase_crosstalk_ratio,
-    temperature_rise_from_heater,
-)
+from repro.variations.thermal import ThermalCrosstalkModel
 
 __all__ = [
     "HeatSolver1D",
@@ -55,8 +51,6 @@ __all__ = [
     "explore_design_space",
     "fit_decay_length_um",
     "optimized_drift_nm",
-    "phase_crosstalk_ratio",
     "sample_banked_drifts",
-    "temperature_rise_from_heater",
     "width_sensitivity_nm_per_nm",
 ]

@@ -11,10 +11,8 @@ scheme that lets rings sit 5 um apart.
 This module provides:
 
 * :class:`ThermalCrosstalkModel` -- the exponential coupling-vs-distance law
-  and the crosstalk matrix of an equally-spaced MR bank;
-* :func:`phase_crosstalk_ratio` -- the Fig. 4 orange curve;
-* helpers converting heater power to temperature rise and phase shift, used
-  by the tuning-power analyses.
+  (the Fig. 4 orange curve is :meth:`ThermalCrosstalkModel.coupling`) and the
+  crosstalk matrix of an equally-spaced MR bank.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.cache import memoize
-from repro.utils.validation import check_non_negative, check_positive, check_positive_int
+from repro.utils.validation import check_positive, check_positive_int
 
 
 @memoize(maxsize=256)
@@ -102,6 +100,7 @@ class ThermalCrosstalkModel:
         check_positive("pitch_um", pitch_um)
         return _crosstalk_matrix_cached(self, int(n_rings), float(pitch_um))
 
+    # Kept as a test oracle: the forward map heater_powers_for_phase must invert.
     def phase_from_heater_powers(
         self, heater_powers_w: np.ndarray, pitch_um: float
     ) -> np.ndarray:
@@ -112,6 +111,7 @@ class ThermalCrosstalkModel:
         matrix = self.crosstalk_matrix(powers.size, pitch_um)
         return self.self_heating_phase_per_watt * (matrix @ powers)
 
+    # Kept as a test oracle: checked against the closed-form KMS tridiagonal inverse.
     def heater_powers_for_phase(
         self, target_phases_rad: np.ndarray, pitch_um: float
     ) -> np.ndarray:
@@ -129,33 +129,3 @@ class ThermalCrosstalkModel:
         matrix = self.crosstalk_matrix(phases.size, pitch_um)
         raw = np.linalg.solve(matrix, phases / self.self_heating_phase_per_watt)
         return np.clip(raw, 0.0, None)
-
-
-def phase_crosstalk_ratio(distance_um, decay_length_um: float = 7.0):
-    """Phase crosstalk ratio vs MR-pair distance (paper Fig. 4, orange line).
-
-    Convenience wrapper over :class:`ThermalCrosstalkModel.coupling` for the
-    figure-reproduction driver.
-    """
-    check_non_negative("decay_length_um-implied", 0.0)
-    return ThermalCrosstalkModel(decay_length_um=decay_length_um).coupling(distance_um)
-
-
-def temperature_rise_from_heater(
-    heater_power_w: float,
-    distance_um: float,
-    thermal_resistance_k_per_w: float = 1.2e3,
-    decay_length_um: float = 7.0,
-) -> float:
-    """Temperature rise (K) at ``distance_um`` from a heater dissipating P.
-
-    Combines a lumped thermal resistance for the on-site temperature rise
-    with the same exponential lateral decay used for phase crosstalk, giving
-    a simple but self-consistent picture: a 27.5 mW full-FSR heater raises
-    its own ring by ~30 K and a ring 5 um away by ~60 % of that.
-    """
-    check_non_negative("heater_power_w", heater_power_w)
-    check_non_negative("distance_um", distance_um)
-    check_positive("thermal_resistance_k_per_w", thermal_resistance_k_per_w)
-    on_site = heater_power_w * thermal_resistance_k_per_w
-    return on_site * float(np.exp(-distance_um / decay_length_um))

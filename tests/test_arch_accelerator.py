@@ -60,7 +60,6 @@ class TestPowerBreakdown:
     def test_total_is_sum_of_components(self):
         breakdown = PowerBreakdown(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
         assert breakdown.total_w == pytest.approx(21.0)
-        assert breakdown.tuning_w == pytest.approx(5.0)
 
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError):

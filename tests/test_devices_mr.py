@@ -111,7 +111,6 @@ class TestMRDesigns:
     def test_footprint_positive(self):
         mr = MicroringResonator.conventional()
         assert mr.footprint_um2 > 0
-        assert mr.circumference_um == pytest.approx(2 * np.pi * mr.design.radius_um)
 
     def test_invalid_extinction_ratio_rejected(self):
         with pytest.raises(ValueError):

@@ -94,8 +94,8 @@ class TestFig5:
         # should be clearly learnable even at this reduced training scale,
         # the harder STL-10 stand-in at least above chance.
         by_index = {curve.model_index: curve for curve in small_curves}
-        assert by_index[1].full_precision_accuracy > 0.3
-        assert by_index[3].full_precision_accuracy > 0.15
+        assert by_index[1].accuracy[-1] > 0.3
+        assert by_index[3].accuracy[-1] > 0.15
 
     def test_curve_metadata(self, small_curves):
         assert [c.model_index for c in small_curves] == [1, 3]
@@ -168,7 +168,11 @@ class TestFig7:
         assert {"DEAP_CNN", "Holylight", "Cross_base", "Cross_opt_TED", "P100", "Edge TPU"} <= names
 
     def test_crosslight_variant_power_monotone(self):
-        powers = fig7_power.crosslight_variant_powers()
+        powers = {
+            row.name: row.power_w
+            for row in fig7_power.run()
+            if row.kind == "photonic (CrossLight)"
+        }
         assert (
             powers["Cross_base"]
             > powers["Cross_base_TED"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +14,8 @@ from repro.nn import (
     UniformQuantizer,
     build_model,
     capture_parameters,
-    quantization_aware_finetune,
     quantize_array,
     restore_parameters,
-    sign_mnist_synthetic,
     swapped_parameters,
 )
 from repro.nn.quantization import quantize_array_stack
@@ -153,36 +150,6 @@ class TestQuantizedInference:
         model, test_x, test_y = trained_compact_lenet
         assert _quantized_accuracy(model, test_x, test_y, 16) == pytest.approx(
             model.evaluate(test_x, test_y), abs=0.03
-        )
-
-
-class TestQuantizationAwareFinetune:
-    def test_qat_does_not_break_model_and_keeps_float_weights_finite(self):
-        train_x, train_y, test_x, test_y = sign_mnist_synthetic(n_train=120, n_test=60)
-        model = build_model(1, compact=True)
-        model.fit(train_x, train_y, epochs=2, batch_size=32, seed=0)
-        before = _quantized_accuracy(model, test_x, test_y, 4)
-        quantization_aware_finetune(model, train_x, train_y, bits=4, epochs=1)
-        after = _quantized_accuracy(model, test_x, test_y, 4)
-        for layer in model.layers:
-            for param in layer.parameters().values():
-                assert np.all(np.isfinite(param))
-        # QAT should not catastrophically hurt the quantized accuracy.
-        assert after >= before - 0.15
-
-    def test_qat_parameters_golden(self):
-        # Every parameter (biases included) after one QAT epoch on a short
-        # compact-LeNet fit, pinned bit for bit.
-        train_x, train_y, _, _ = sign_mnist_synthetic(n_train=120, n_test=60)
-        model = build_model(1, compact=True)
-        model.fit(train_x, train_y, epochs=2, batch_size=32, seed=0)
-        quantization_aware_finetune(model, train_x, train_y, bits=4, epochs=1)
-        digest = hashlib.sha256()
-        for layer in model.layers:
-            for _, param in sorted(layer.parameters().items()):
-                digest.update(np.ascontiguousarray(param).tobytes())
-        assert digest.hexdigest() == (
-            "2c0e520dbddbbdbe7cbe613a33d12b5e97fb8c728fbc5f73ace6b0f7d27177a6"
         )
 
 

@@ -226,7 +226,7 @@ class TestChannelBehaviour:
 
     def test_stack_composition_and_describe(self):
         stack = NoiseStack([QuantizationChannel(8)])
-        longer = stack.with_channel(FPVDriftChannel())
+        longer = NoiseStack([*stack, FPVDriftChannel()])
         assert len(stack) == 1 and len(longer) == 2
         assert "quantization(8 bit)" in longer.describe()
         assert "fpv-drift" in longer.describe()

@@ -263,7 +263,7 @@ class TestTracer:
         tracer.complete(0.5, 0.25, "span", pid, 1, args={"k": 1})
         tracer.instant(0.75, "blip", pid, 1)
         tracer.counter(0.1, "depth", pid, 0, {"queue": 3})
-        tracer.async_span(0.0, 2.5, "request", "request", 42, pid)
+        tracer.async_spans(pid, "request", (0.0,), (2.5,), ("request",), (42,), (0,))
         validate_chrome_trace(tracer.to_dict())
 
     def test_events_sorted_regardless_of_emission_order(self):
@@ -285,16 +285,25 @@ class TestTracer:
             tracer.new_process("p")
         single.counter(0.1, "depth", 1, 0, {"queue": 3})
         single.counter(0.2, "depth", 1, 0, {"queue": 4})
-        single.async_span(0.0, 0.3, "queue", "request", 7, 1)
-        single.async_span(0.3, 0.5, "service", "request", 7, 1, 2)
         bulk.counters(1, 0, (0.1, 0.2), ("depth", "depth"), ({"queue": 3}, {"queue": 4}))
         bulk.async_spans(
             1, "request", (0.0, 0.3), (0.3, 0.5), ("queue", "service"), (7, 7), (0, 2)
         )
-        assert bulk.to_dict() == single.to_dict()
-        assert len(bulk) == len(single) == 1 + 2 + 4
-        phases = [e["ph"] for e in bulk.to_dict()["traceEvents"]]
-        assert phases == ["M", "b", "C", "C", "e", "b", "e"]
+        events = bulk.to_dict()["traceEvents"]
+        assert [e for e in events if e["ph"] == "C"] == single.to_dict()["traceEvents"][1:]
+        spans = [
+            (e["ph"], e["ts"], e["name"], e["cat"], e["id"], e["pid"], e["tid"])
+            for e in events
+            if e["ph"] in ("b", "e")
+        ]
+        assert spans == [
+            ("b", 0.0, "queue", "request", 7, 1, 0),
+            ("e", 0.3 * 1e6, "queue", "request", 7, 1, 0),
+            ("b", 0.3 * 1e6, "service", "request", 7, 1, 2),
+            ("e", 0.5 * 1e6, "service", "request", 7, 1, 2),
+        ]
+        assert len(bulk) == len(single) + 4 == 1 + 2 + 4
+        assert [e["ph"] for e in events] == ["M", "b", "C", "C", "e", "b", "e"]
 
     def test_negative_duration_clamped(self):
         tracer = Tracer()

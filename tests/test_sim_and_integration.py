@@ -10,7 +10,6 @@ from repro.baselines import DeapCnnAccelerator, HolyLightAccelerator
 from repro.nn import build_model
 from repro.sim import (
     default_accelerators,
-    format_ratio,
     format_table,
     simulate_model,
     simulate_models,
@@ -112,11 +111,6 @@ class TestFormatting:
         with pytest.raises(ValueError):
             format_table(["a", "b"], [["only-one"]])
 
-    def test_format_ratio(self):
-        assert format_ratio(10.0, 95.0) == "9.5x"
-        with pytest.raises(ValueError):
-            format_ratio(0.0, 1.0)
-
 
 class TestPaperClaims:
     """Integration tests for the headline comparisons (Figs. 7-8, Table III)."""
@@ -159,12 +153,13 @@ class TestPaperClaims:
         assert deap.avg_epb_pj_per_bit / crosslight.avg_epb_pj_per_bit > 100.0
 
     def test_crosslight_power_below_cpu_gpu_but_above_edge_asics(self, comparison):
-        from repro.baselines import electronic_platform
+        from repro.baselines import ELECTRONIC_PLATFORMS
 
+        platform_power = {p.name: p.power_w for p in ELECTRONIC_PLATFORMS}
         crosslight_power = comparison.by_name("Cross_opt_TED").power_w
-        assert crosslight_power < electronic_platform("P100").power_w
-        assert crosslight_power < electronic_platform("IXP 9282").power_w
-        assert crosslight_power > electronic_platform("Edge TPU").power_w
+        assert crosslight_power < platform_power["P100"]
+        assert crosslight_power < platform_power["IXP 9282"]
+        assert crosslight_power > platform_power["Edge TPU"]
 
     def test_crosslight_variant_power_monotone_in_optimizations(self, comparison):
         powers = [

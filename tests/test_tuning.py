@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import CONVENTIONAL_MR, EO_TUNING, OPTIMIZED_MR, TO_TUNING
 from repro.tuning import (
@@ -71,8 +73,7 @@ class TestTED:
     def test_ted_cheaper_than_naive_at_tight_pitch(self):
         ted = ThermalEigenmodeDecomposition()
         result = ted.solve(np.full(10, np.pi / 2), pitch_um=5.0)
-        assert result.ted_total_power_w < result.naive_total_power_w
-        assert result.power_saving_ratio > 2.0
+        assert result.naive_total_power_w > 2.0 * result.ted_total_power_w
 
     def test_ted_and_naive_converge_at_large_pitch(self):
         ted = ThermalEigenmodeDecomposition()
@@ -116,6 +117,59 @@ class TestTED:
         small = ted.uniform_bank_power_w(15, 5.0, 0.3, use_ted=True)
         large = ted.uniform_bank_power_w(15, 5.0, 0.9, use_ted=True)
         assert large > small
+
+
+def _kms_inverse(n: int, rho: float) -> np.ndarray:
+    """Closed-form inverse of the Kac-Murdock-Szego matrix ``K[i, j] = rho**|i - j|``."""
+    inverse = (1.0 + rho**2) * np.eye(n) - rho * (np.eye(n, k=1) + np.eye(n, k=-1))
+    inverse[0, 0] = inverse[-1, -1] = 1.0
+    return inverse / (1.0 - rho**2)
+
+
+# Equal pitch makes the thermal crosstalk matrix K[i, j] = rho**|i - j| with
+# rho = exp(-pitch / L), whose inverse is tridiagonal.
+BANKS = {
+    "n": st.integers(min_value=2, max_value=64),
+    "pitch_um": st.floats(min_value=3.0, max_value=20.0),
+    "decay_length_um": st.floats(min_value=3.0, max_value=15.0),
+}
+
+
+class TestTEDClosedForm:
+    """Fig. 4's TED and naive powers against the Kac-Murdock-Szego closed forms."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(**BANKS, phase=st.floats(min_value=0.1, max_value=2.0 * np.pi))
+    def test_uniform_bank_power(self, n, pitch_um, decay_length_um, phase):
+        crosstalk = ThermalCrosstalkModel(decay_length_um=decay_length_um)
+        ted = ThermalEigenmodeDecomposition(crosstalk=crosstalk)
+        rho = np.exp(-pitch_um / decay_length_um)
+        scale = phase / crosstalk.self_heating_phase_per_watt
+        k = np.arange(1, n)
+        # The row sums of K^-1: 1 / (1 + rho) at both ends, (1 - rho) / (1 + rho) inside.
+        assert ted.uniform_bank_power_w(n, pitch_um, phase) == pytest.approx(
+            scale * (2 + (n - 2) * (1 - rho)) / (1 + rho), rel=1e-12
+        )
+        # Naive tuning pays every ring's own phase plus all the phase its
+        # neighbours inject: the row sums of K.
+        assert ted.uniform_bank_power_w(n, pitch_um, phase, use_ted=False) == pytest.approx(
+            scale * (n + 2 * np.sum((n - k) * rho**k)), rel=1e-12
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(**BANKS, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_heater_powers_are_the_kms_inverse(self, n, pitch_um, decay_length_um, seed):
+        crosstalk = ThermalCrosstalkModel(decay_length_um=decay_length_um)
+        rho = np.exp(-pitch_um / decay_length_um)
+        # Phases within a factor 1 + 0.9 (1 - rho)^2 / (2 rho) of each other
+        # keep every row of K^-1 phi positive, so no heater power clips at 0.
+        spread = 0.9 * (1 - rho) ** 2 / (2 * rho)
+        phases = 1.0 + spread * np.random.default_rng(seed).random(n)
+        expected = _kms_inverse(n, rho) @ phases / crosstalk.self_heating_phase_per_watt
+        assert np.all(expected > 0)
+        np.testing.assert_allclose(
+            crosstalk.heater_powers_for_phase(phases, pitch_um), expected, rtol=1e-10
+        )
 
 
 class TestHybridPolicy:

@@ -17,9 +17,7 @@ from repro.variations import (
     expected_fpv_drift_nm,
     explore_design_space,
     fit_decay_length_um,
-    phase_crosstalk_ratio,
     sample_banked_drifts,
-    temperature_rise_from_heater,
     width_sensitivity_nm_per_nm,
 )
 
@@ -120,11 +118,6 @@ class TestThermalCrosstalk:
         assert model.coupling(7.0) == pytest.approx(np.exp(-1.0))
         assert model.coupling(70.0) < 1e-4
 
-    def test_phase_crosstalk_ratio_wrapper(self):
-        distances = np.array([1.0, 5.0, 20.0])
-        ratios = phase_crosstalk_ratio(distances)
-        assert np.all(np.diff(ratios) < 0)
-
     def test_crosstalk_matrix_symmetric_unit_diagonal(self):
         model = ThermalCrosstalkModel()
         matrix = model.crosstalk_matrix(8, 5.0)
@@ -137,12 +130,6 @@ class TestThermalCrosstalk:
         powers = model.heater_powers_for_phase(target, pitch_um=30.0)
         realised = model.phase_from_heater_powers(powers, pitch_um=30.0)
         np.testing.assert_allclose(realised, target, rtol=1e-6)
-
-    def test_temperature_rise_decays_with_distance(self):
-        near = temperature_rise_from_heater(27.5e-3, 0.0)
-        far = temperature_rise_from_heater(27.5e-3, 50.0)
-        assert near > far
-        assert 10.0 < near < 100.0  # tens of kelvin at the heater
 
     def test_negative_distance_rejected(self):
         model = ThermalCrosstalkModel()
